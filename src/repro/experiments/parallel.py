@@ -373,9 +373,6 @@ class ChaosUnit:
             t.topology_id: monitor.report(t.topology_id, report)
             for t in topologies
         }
-        # the report references the stats server the tracer wrapped with
-        # closures; unwrap so the outcome stays picklable (cache, workers)
-        monitor.tracer.uninstall()
         return ChaosOutcome(
             scheduler=scheduler.name,
             report=report,
@@ -481,8 +478,6 @@ class ElasticUnit:
             }
             for topology_id in sorted(nimbus.assignments)
         }
-        # unwrap the tracer's closures so the outcome stays picklable
-        monitor.tracer.uninstall()
         return ElasticOutcome(
             scheduler=scheduler.name,
             report=report,

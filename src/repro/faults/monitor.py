@@ -37,50 +37,6 @@ def _round(value: Optional[float]) -> Optional[float]:
     return None if value is None else round(value, 6)
 
 
-def _int_field(detail: str, name: str) -> Optional[int]:
-    """Parse an integer ``name=value`` field out of an event detail
-    string; None when the field is absent or malformed."""
-    marker = name + "="
-    idx = detail.rfind(marker)
-    if idx < 0:
-        return None
-    rest = detail[idx + len(marker):]
-    end = rest.find(",")
-    if end >= 0:
-        rest = rest[:end]
-    try:
-        return int(rest)
-    except ValueError:  # pragma: no cover - malformed detail
-        return None
-
-
-def _moved_of(detail: str) -> Optional[int]:
-    """Parse the churn count out of a migrate/rescale event detail
-    (``"..., moved=M"``); None for pre-churn traces."""
-    return _int_field(detail, "moved")
-
-
-def _reason_of(detail: str) -> str:
-    """Attribution tag of a migrate event (``"..., reason=R, ..."``);
-    traces recorded before churn attribution default to ``"fault"``."""
-    marker = "reason="
-    idx = detail.find(marker)
-    if idx < 0:
-        return "fault"
-    rest = detail[idx + len(marker):]
-    end = rest.find(",")
-    return rest[:end] if end >= 0 else rest
-
-
-def _rescale_churn(detail: str) -> int:
-    """Total executor churn of one rescale event: tasks moved plus
-    tasks added plus tasks removed."""
-    return sum(
-        _int_field(detail, name) or 0
-        for name in ("moved", "added", "removed")
-    )
-
-
 @dataclass(frozen=True)
 class FaultRecovery:
     """Recovery metrics for one injected fault."""
@@ -127,7 +83,7 @@ class RecoveryReport:
     #: rescales (fault-driven + elastic-driven)
     total_tasks_moved: int = 0
     #: churn from fault-recovery reschedules (Nimbus reacting to node
-    #: failures/quarantine) — migrate events tagged ``reason=fault``
+    #: failures/quarantine) — migrate events whose reason is not elastic
     fault_tasks_moved: int = 0
     #: churn from the elastic controller (scale + rebalance actions) —
     #: ``rescale`` events plus migrates tagged ``reason=elastic``
@@ -229,7 +185,7 @@ class RecoveryMonitor:
     ):
         if not 0.0 < steady_fraction <= 1.0:
             raise ValueError("steady_fraction must be in (0, 1]")
-        self.tracer = tracer or Tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
         self.steady_fraction = steady_fraction
 
     # -- wiring -------------------------------------------------------------
@@ -240,7 +196,7 @@ class RecoveryMonitor:
         Call before ``run.run()``; the detector/nimbus hooks record
         ``expire`` and ``reschedule`` events into the causal trace.
         """
-        if not self.tracer.installed:
+        if run.tracer is not self.tracer:
             self.tracer.install(run)
         tracer = self.tracer
         if detector is not None:
@@ -251,7 +207,7 @@ class RecoveryMonitor:
 
             def on_reschedule(time: float, changed: List[str]) -> None:
                 for topo_id in changed:
-                    tracer.record(time, "reschedule", topo_id, "new assignment")
+                    tracer.record(time, "reschedule", topo_id)
 
             nimbus.on_reschedule = on_reschedule
 
@@ -281,12 +237,8 @@ class RecoveryMonitor:
         # controller actions.  Per-fault metrics below only look at the
         # fault-driven migrations, so a concurrently-running elastic
         # loop cannot masquerade as recovery.
-        migrates = [
-            m for m in all_migrates if _reason_of(m.detail) != "elastic"
-        ]
-        elastic_migrates = [
-            m for m in all_migrates if _reason_of(m.detail) == "elastic"
-        ]
+        migrates = [m for m in all_migrates if m.reason != "elastic"]
+        elastic_migrates = [m for m in all_migrates if m.reason == "elastic"]
 
         first_fault = injects[0].time if injects else None
         baseline_values = [
@@ -314,9 +266,7 @@ class RecoveryMonitor:
                 first_migrate.time if first_migrate is not None else None
             )
             tasks_moved = (
-                _moved_of(first_migrate.detail)
-                if first_migrate is not None
-                else None
+                first_migrate.moved if first_migrate is not None else None
             )
             post = [
                 (start, value)
@@ -335,7 +285,7 @@ class RecoveryMonitor:
                         break
             faults.append(
                 FaultRecovery(
-                    fault=inject.detail,
+                    fault=inject.fault,
                     fault_time_s=inject.time,
                     detected_at_s=detected_at,
                     detection_latency_s=(
@@ -381,16 +331,10 @@ class RecoveryMonitor:
             if post_fault_replays:
                 time_to_drain = post_fault_replays[-1] - last_fault
 
-        fault_moved = sum(
-            moved
-            for m in migrates
-            if (moved := _moved_of(m.detail)) is not None
+        fault_moved = sum(m.moved for m in migrates)
+        elastic_moved = sum(m.moved for m in elastic_migrates) + sum(
+            r.moved + r.added + r.removed for r in rescale_events
         )
-        elastic_moved = sum(
-            moved
-            for m in elastic_migrates
-            if (moved := _moved_of(m.detail)) is not None
-        ) + sum(_rescale_churn(r.detail) for r in rescale_events)
 
         return RecoveryReport(
             topology_id=topology_id,

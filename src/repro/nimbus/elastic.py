@@ -321,15 +321,15 @@ class ElasticController:
         if required > current:
             # Scale-up: the active scheduler places just the delta —
             # existing placements survive, quarantined nodes are masked
-            # exactly as in Nimbus.schedule_round.
+            # and dead-node reservations released exactly as in
+            # Nimbus.schedule_round.  Only this topology is scheduled:
+            # tasks other topologies lost to a dead node are Nimbus's to
+            # re-place, and a placement made here would be discarded with
+            # its reservation still held.
             masked = nimbus._mask_quarantined()
             try:
-                topologies = [
-                    new_topology if t.topology_id == topology_id else t
-                    for t in nimbus.topologies
-                ]
                 round_info = nimbus.scheduler.run(
-                    topologies, nimbus.cluster, dict(nimbus.assignments)
+                    [new_topology], nimbus.cluster, nimbus._live_assignments()
                 )
             except SchedulingError as err:
                 self.actions_failed.append(

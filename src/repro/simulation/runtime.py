@@ -324,6 +324,9 @@ class SimulationRun:
         #: that resolves origins explicitly (at-least-once replay, flow
         #: shedding) is on — equal to ``_at_least_once`` when flow is off.
         self._track_origins = self._at_least_once or self._fc is not None
+        #: optional event sink (see :class:`~repro.simulation.tracing.Tracer`);
+        #: every traced transition is guarded on ``self.tracer is None``.
+        self.tracer = None
         if self._open_loop:
             # Open-loop spouts emit only what arrives; every closed-loop
             # credit/rate trigger (acks, sweeps, revivals) is a no-op.
@@ -572,9 +575,9 @@ class SimulationRun:
 
         ``reason`` tags the move for churn attribution (``"fault"`` for
         Nimbus recovery reschedules, ``"elastic"`` for controller-driven
-        rebalances); the runtime itself ignores it, but an installed
-        Tracer records it so the RecoveryMonitor can split fault-driven
-        from elastic-driven churn.
+        rebalances); the runtime itself ignores it, but the ``migrate``
+        trace event carries it so the RecoveryMonitor can split
+        fault-driven from elastic-driven churn.
 
         Returns the number of tasks that changed slot — the reassignment
         churn the RecoveryMonitor reports per recovery.
@@ -618,6 +621,11 @@ class SimulationRun:
         for spout in topo_rt.spouts:
             if spout.alive:
                 self._try_emit(spout)
+        if self.tracer is not None:
+            self.tracer.record(
+                self.sim.now, "migrate", topology_id,
+                len(new_assignment.nodes), reason, moved,
+            )
         return moved
 
     def rescale(
@@ -767,6 +775,12 @@ class SimulationRun:
         for spout in topo_rt.spouts:
             if spout.alive:
                 self._try_emit(spout)
+        if self.tracer is not None:
+            self.tracer.record(
+                self.sim.now, "rescale", topology_id,
+                len(new_assignment.nodes), new_topology.num_tasks,
+                len(added), len(removed), moved,
+            )
         return moved, len(added), len(removed)
 
     # -- load sampling (elastic control loop) ------------------------------
@@ -807,6 +821,8 @@ class SimulationRun:
         node_rt = self._nodes.get(node_id)
         if node_rt is None:
             raise SimulationError(f"cannot fail unknown node {node_id!r}")
+        if self.tracer is not None:
+            self.tracer.record(self.sim.now, "node_down", "", node_id)
         node_rt.node.fail()
         for rt in node_rt.tasks:
             rt.alive = False
@@ -830,6 +846,8 @@ class SimulationRun:
         node_rt = self._nodes.get(node_id)
         if node_rt is None:
             raise SimulationError(f"cannot recover unknown node {node_id!r}")
+        if self.tracer is not None:
+            self.tracer.record(self.sim.now, "node_up", "", node_id)
         node_rt.node.recover()
         for rt in node_rt.tasks:
             rt.alive = True
@@ -977,6 +995,10 @@ class SimulationRun:
         its queue is lost and the supervisor restarts it after
         ``worker_restart_s``.  In-flight roots routed through it will
         time out, returning spout credit (or just counting as failed)."""
+        if self.tracer is not None:
+            self.tracer.record(
+                self.sim.now, "crash", task.topo.topology_id, task.task
+            )
         task.alive = False
         if self._at_least_once and task.is_spout and task.work:
             self._abandon_queued_replays(task)
@@ -1101,6 +1123,14 @@ class SimulationRun:
     def _finish_emit(self, spout: _TaskRuntime, payload=None) -> None:
         topo = spout.topo
         now = self.sim.now
+        if self.tracer is not None:
+            # Closed-loop emits carry no payload; open-loop payloads are
+            # (arrived_at, tuples, key) and size the batch.
+            self.tracer.record(
+                now, "emit", topo.topology_id, spout.task,
+                spout.profile.emit_batch_tuples if payload is None
+                else payload[1],
+            )
         if payload is None:
             # Closed loop: the spout produced its own profile-sized batch.
             # This body is the hot path — kept free of open-loop work.
@@ -1185,6 +1215,11 @@ class SimulationRun:
             del topo.pending[root_id]
             spout = entry.spout
             spout.inflight -= 1
+            if self.tracer is not None:
+                self.tracer.record(
+                    now, "ack", topo.topology_id,
+                    (now - entry.emitted_at) * 1e3,
+                )
             self.stats.record_ack(topo.topology_id, now - entry.emitted_at)
             if entry.arrived_at is not None:
                 # End-to-end latency: arrival at the spout to full ack,
@@ -1220,13 +1255,13 @@ class SimulationRun:
             spout, _REPLAY, (tuples, attempt, origin_root, arrived_at)
         )
 
-    def _finish_replay(self, spout: _TaskRuntime, payload) -> int:
+    def _finish_replay(self, spout: _TaskRuntime, payload) -> None:
         """Re-emit a failed tree under a *fresh* root id.
 
         A new id (from the same monotonic counter) keeps ``pending``
         insertion-ordered by emit time — the invariant the timeout
-        sweep's early-exit scan depends on — and lets the Tracer link
-        the replay to ``origin_root`` causally.  Returns the new root id.
+        sweep's early-exit scan depends on — and the ``replay`` trace
+        event links it to ``origin_root`` causally.
         """
         tuples, attempt, origin_root, arrived_at = payload
         topo = spout.topo
@@ -1246,7 +1281,11 @@ class SimulationRun:
         else:  # pragma: no cover - a spout with consumers always routes
             topo.origins_exhausted += 1
             self.stats.record_exhausted(topo.topology_id, tuples)
-        return root_id
+        if self.tracer is not None:
+            self.tracer.record(
+                now, "replay", topo.topology_id, root_id, origin_root,
+                attempt, tuples,
+            )
 
     def _abandon_replay(self, topo: _TopologyRuntime, tuples: int) -> None:
         """Resolve an outstanding replay whose spout died: the origin is
@@ -1327,8 +1366,7 @@ class SimulationRun:
         fc = producer.topo.flow
         src = producer.component.name
         # Hoisted bound methods: one lookup per routed batch instead of
-        # one per delivery.  ``self._deliver`` is looked up here (not at
-        # construction) so an installed Tracer still intercepts it.
+        # one per delivery.
         transfer_model = self.transfer
         transfer = transfer_model.transfer
         lossy = transfer_model.lossy
@@ -1407,6 +1445,11 @@ class SimulationRun:
         level: DistanceLevel,
         src: Optional[str] = None,
     ) -> None:
+        if self.tracer is not None:
+            self.tracer.record(
+                self.sim.now, "deliver", consumer.topo.topology_id, root_id,
+                tuples, consumer.task, level,
+            )
         if not consumer.alive or not consumer.node.node.alive:
             self.stats.record_dropped()
             if self._fc is not None and src is not None:
@@ -1469,9 +1512,12 @@ class SimulationRun:
 
         Paused bolts stop draining their own input queues, so their
         upstream edges fill next — pressure propagates edge-by-edge until
-        it reaches the spouts, which stop emitting.  An installed Tracer
-        wraps this (and :meth:`_fc_resume`) to surface stall events.
+        it reaches the spouts, which stop emitting.
         """
+        if self.tracer is not None:
+            self.tracer.record(
+                self.sim.now, "stall", topo_rt.topology_id, producer, consumer
+            )
         fc = topo_rt.flow
         tasks = fc.tasks_of.get(producer, ())
         for rt in tasks:
@@ -1484,6 +1530,10 @@ class SimulationRun:
     ) -> None:
         """Backpressure releases: unpause ``producer`` and restart its
         tasks (spouts re-emit, bolts drain their backlog)."""
+        if self.tracer is not None:
+            self.tracer.record(
+                self.sim.now, "resume", topo_rt.topology_id, producer, consumer
+            )
         fc = topo_rt.flow
         tasks = fc.tasks_of.get(producer, ())
         for rt in tasks:
@@ -1544,8 +1594,12 @@ class SimulationRun:
     def _shed(
         self, topology_id: str, component: str, stage: str, tuples: int
     ) -> None:
-        """Record one audited shed decision (Tracer-visible)."""
+        """Record one audited shed decision."""
         now = self.sim.now
+        if self.tracer is not None:
+            self.tracer.record(
+                now, "shed", topology_id, component, tuples, stage
+            )
         self.stats.record_shed(topology_id, component, stage, now, tuples)
         self._fc_ledger.record(
             ShedRecord(
@@ -1592,6 +1646,10 @@ class SimulationRun:
             entry = topo_rt.pending.pop(root)
             spout = entry.spout
             spout.inflight -= 1
+            if self.tracer is not None:
+                self.tracer.record(
+                    self.sim.now, "fail", topo_rt.topology_id, entry.tuples
+                )
             self.stats.record_failed(topo_rt.topology_id, entry.tuples)
             if not at_least_once and self._track_origins:
                 # Flow control without at-least-once: a timed-out tree is

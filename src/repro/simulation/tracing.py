@@ -1,10 +1,10 @@
 """Structured event tracing for simulation runs.
 
-A lightweight, opt-in trace of what happened during a run — spout
-emissions, batch deliveries, acks, failures, worker crashes, migrations —
-kept in a bounded ring buffer so long runs cannot exhaust memory.  Used
-for debugging schedules and for tests that assert on event causality
-rather than aggregate counters.
+An opt-in trace of what happened during a run — spout emissions, batch
+deliveries, acks, failures, worker crashes, migrations.  Used for
+debugging schedules, for recovery measurement
+(:class:`~repro.faults.monitor.RecoveryMonitor`) and for tests that
+assert on event causality rather than aggregate counters.
 
 Usage::
 
@@ -15,300 +15,202 @@ Usage::
     for event in tracer.query(kind="crash"):
         print(event)
 
-The tracer wraps the runtime's internal hooks without modifying its hot
-path when not installed.
+The tracer is the run's one event sink: :class:`SimulationRun` holds an
+optional ``tracer`` slot (``None`` by default) and reports each traced
+transition with ``tracer.record(time, kind, topology, *fields)`` where
+it happens.  Events keep their fields typed (``event.moved``,
+``event.reason``, ...); the human-readable ``detail`` is rendered on
+demand from the per-kind table below.
+
+Storage is split by volume.  Control kinds (faults, membership,
+reschedules, migrations, rescales, replays, crashes) are rare and go to
+an unbounded list, so recovery measurement never loses them.  The
+high-volume data-path kinds go to a bounded ring of ``capacity`` events
+so long runs cannot exhaust memory; :attr:`Tracer.dropped` counts the
+ring's evictions.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from operator import itemgetter
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 __all__ = ["TraceEvent", "Tracer"]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One traced occurrence.
+class _Kind(NamedTuple):
+    #: control events are never evicted; the rest share the bounded ring
+    control: bool
+    #: names of the typed fields, in ``record`` order
+    fields: Tuple[str, ...]
+    #: ``str.format`` template of the event's ``detail``
+    detail: str
+
+
+_KINDS: Dict[str, _Kind] = {
+    "emit": _Kind(False, ("task", "tuples"), "{task} batch={tuples}"),
+    "deliver": _Kind(
+        False,
+        ("root", "tuples", "task", "level"),
+        "root={root} tuples={tuples} -> {task} ({level.name})",
+    ),
+    "ack": _Kind(False, ("latency_ms",), "latency={latency_ms:.3f}ms"),
+    "fail": _Kind(False, ("tuples",), "tuples={tuples}"),
+    "crash": _Kind(True, ("task",), "{task} queue overflow"),
+    "migrate": _Kind(
+        True,
+        ("nodes", "reason", "moved"),
+        "onto {nodes} nodes, reason={reason}, moved={moved}",
+    ),
+    "node_down": _Kind(True, ("node",), "{node}"),
+    "node_up": _Kind(True, ("node",), "{node}"),
+    "inject": _Kind(True, ("fault",), "{fault}"),
+    "expire": _Kind(True, ("node",), "{node}"),
+    "reschedule": _Kind(True, (), "new assignment"),
+    "replay": _Kind(
+        True,
+        ("root", "origin", "attempt", "tuples"),
+        "root={root} origin={origin} attempt={attempt} tuples={tuples}",
+    ),
+    "rescale": _Kind(
+        True,
+        ("nodes", "tasks", "added", "removed", "moved"),
+        "onto {nodes} nodes, tasks={tasks}, added={added}, removed={removed}, "
+        "moved={moved}",
+    ),
+    "stall": _Kind(
+        False,
+        ("producer", "consumer"),
+        "{producer} paused ({producer} -> {consumer} edge over high watermark)",
+    ),
+    "resume": _Kind(
+        False,
+        ("producer", "consumer"),
+        "{producer} resumed ({producer} -> {consumer} edge under low watermark)",
+    ),
+    "shed": _Kind(
+        False,
+        ("component", "tuples", "stage"),
+        "{component} shed tuples={tuples} stage={stage}",
+    ),
+}
+
+
+class TraceEvent(tuple):
+    """One traced occurrence, stored flat as
+    ``(time, kind, topology, *fields)`` so a long trace costs one small
+    tuple per event.
 
     Attributes:
         time: Simulated time in seconds.
-        kind: ``emit`` | ``deliver`` | ``ack`` | ``fail`` | ``crash`` |
-            ``migrate`` | ``node_down`` | ``node_up`` | ``inject`` |
-            ``expire`` | ``reschedule`` | ``replay`` | ``rescale`` |
-            ``stall`` | ``resume`` | ``shed``.
+        kind: One of :attr:`Tracer.KINDS`.
         topology: Topology id (empty for cluster-level events).
-        detail: Human-readable specifics (task, node, counts).
+
+    The kind's typed fields follow, in record order, and are read by
+    name: ``event.moved``, ``event.reason``, ...
     """
 
-    time: float
-    kind: str
-    topology: str
-    detail: str
+    __slots__ = ()
+
+    time = property(itemgetter(0))
+    kind = property(itemgetter(1))
+    topology = property(itemgetter(2))
+
+    def __getattr__(self, name: str) -> Any:
+        spec = _KINDS.get(self[1])
+        if spec is None or name not in spec.fields:
+            raise AttributeError(name)
+        return self[3 + spec.fields.index(name)]
+
+    @property
+    def detail(self) -> str:
+        """Human-readable specifics (task, node, counts)."""
+        spec = _KINDS[self[1]]
+        return spec.detail.format_map(dict(zip(spec.fields, self[3:])))
 
     def __str__(self) -> str:
         return f"[{self.time:10.4f}s] {self.kind:9s} {self.topology} {self.detail}"
 
 
 class Tracer:
-    """Bounded event trace attached to a :class:`SimulationRun`."""
+    """Event sink attached to a :class:`SimulationRun`.
 
-    KINDS = (
-        "emit", "deliver", "ack", "fail", "crash", "migrate", "node_down",
-        "node_up", "inject", "expire", "reschedule", "replay", "rescale",
-        "stall", "resume", "shed",
-    )
+    Args:
+        capacity: Size of the ring holding the high-volume kinds; the
+            :attr:`CONTROL_KINDS` are kept in full.
+    """
+
+    KINDS: Tuple[str, ...] = tuple(_KINDS)
+    CONTROL_KINDS = frozenset(k for k, spec in _KINDS.items() if spec.control)
 
     def __init__(self, capacity: int = 100_000):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
+        #: (ring events recorded before it, event) per control event
+        self._control: List[Tuple[int, TraceEvent]] = []
+        #: ring evictions (control events are never evicted)
         self.dropped = 0
-        self._installed = False
-        self._wrapped: List = []
-
-    @property
-    def installed(self) -> bool:
-        return self._installed
-
-    # -- recording ---------------------------------------------------------
-
-    def record(self, time: float, kind: str, topology: str, detail: str) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(TraceEvent(time, kind, topology, detail))
-
-    # -- installation -----------------------------------------------------------
 
     def install(self, run) -> None:
-        """Wrap a run's internal transitions with trace recording.
+        """Make this tracer ``run``'s event sink.
 
-        Idempotent per tracer; installing a second tracer wraps again.
+        Raises:
+            RuntimeError: if the run already has a tracer.
         """
-        if self._installed:
-            raise RuntimeError("tracer already installed")
-        self._installed = True
-        tracer = self
+        if run.tracer is not None:
+            raise RuntimeError("run already has a tracer installed")
+        run.tracer = self
 
-        original_finish_emit = run._finish_emit
-
-        def traced_finish_emit(spout, payload=None):
-            # Closed-loop emits carry no payload; open-loop payloads are
-            # (arrived_at, tuples, key) and size the batch.
-            batch = (
-                spout.profile.emit_batch_tuples if payload is None
-                else payload[1]
-            )
-            tracer.record(
-                run.sim.now,
-                "emit",
-                spout.topo.topology_id,
-                f"{spout.task} batch={batch}",
-            )
-            return original_finish_emit(spout, payload)
-
-        run._finish_emit = traced_finish_emit
-
-        original_finish_replay = run._finish_replay
-
-        def traced_finish_replay(spout, payload):
-            # Record *after* the call so the fresh root id is known —
-            # the causal link from replay back to its original root.
-            new_root = original_finish_replay(spout, payload)
-            tracer.record(
-                run.sim.now,
-                "replay",
-                spout.topo.topology_id,
-                f"root={new_root} origin={payload[2]} attempt={payload[1]} "
-                f"tuples={payload[0]}",
-            )
-            return new_root
-
-        run._finish_replay = traced_finish_replay
-
-        original_deliver = run._deliver
-
-        def traced_deliver(consumer, root_id, tuples, level, src=None):
-            tracer.record(
-                run.sim.now,
-                "deliver",
-                consumer.topo.topology_id,
-                f"root={root_id} tuples={tuples} -> {consumer.task} ({level.name})",
-            )
-            return original_deliver(consumer, root_id, tuples, level, src)
-
-        run._deliver = traced_deliver
-
-        # Flow-control transitions (no-ops unless config.flow is set):
-        # edge stalls/resumes and audited shed decisions.
-        original_fc_stall = run._fc_stall
-
-        def traced_fc_stall(topo_rt, producer, consumer):
-            tracer.record(
-                run.sim.now,
-                "stall",
-                topo_rt.topology_id,
-                f"{producer} paused ({producer} -> {consumer} edge over "
-                "high watermark)",
-            )
-            return original_fc_stall(topo_rt, producer, consumer)
-
-        run._fc_stall = traced_fc_stall
-
-        original_fc_resume = run._fc_resume
-
-        def traced_fc_resume(topo_rt, producer, consumer):
-            tracer.record(
-                run.sim.now,
-                "resume",
-                topo_rt.topology_id,
-                f"{producer} resumed ({producer} -> {consumer} edge under "
-                "low watermark)",
-            )
-            return original_fc_resume(topo_rt, producer, consumer)
-
-        run._fc_resume = traced_fc_resume
-
-        original_shed = run._shed
-
-        def traced_shed(topology_id, component, stage, tuples):
-            tracer.record(
-                run.sim.now,
-                "shed",
-                topology_id,
-                f"{component} shed tuples={tuples} stage={stage}",
-            )
-            return original_shed(topology_id, component, stage, tuples)
-
-        run._shed = traced_shed
-
-        original_crash = run._crash_task
-
-        def traced_crash(task):
-            tracer.record(
-                run.sim.now,
-                "crash",
-                task.topo.topology_id,
-                f"{task.task} queue overflow",
-            )
-            return original_crash(task)
-
-        run._crash_task = traced_crash
-
-        original_fail_node = run._fail_node
-
-        def traced_fail_node(node_id):
-            tracer.record(run.sim.now, "node_down", "", node_id)
-            return original_fail_node(node_id)
-
-        run._fail_node = traced_fail_node
-
-        original_recover_node = run._recover_node
-
-        def traced_recover_node(node_id):
-            tracer.record(run.sim.now, "node_up", "", node_id)
-            return original_recover_node(node_id)
-
-        run._recover_node = traced_recover_node
-
-        original_migrate = run.migrate
-
-        def traced_migrate(topology_id, new_assignment, reason="fault"):
-            # Call first: the migration's return value is its churn
-            # (tasks that changed slot), recorded in the event detail.
-            # ``reason`` splits fault-recovery churn from elastic
-            # rebalance churn in the RecoveryMonitor.
-            moved = original_migrate(topology_id, new_assignment, reason)
-            tracer.record(
-                run.sim.now,
-                "migrate",
-                topology_id,
-                f"onto {len(new_assignment.nodes)} nodes, "
-                f"reason={reason}, moved={moved}",
-            )
-            return moved
-
-        run.migrate = traced_migrate
-
-        original_rescale = run.rescale
-
-        def traced_rescale(topology_id, new_topology, new_assignment):
-            moved, added, removed = original_rescale(
-                topology_id, new_topology, new_assignment
-            )
-            tracer.record(
-                run.sim.now,
-                "rescale",
-                topology_id,
-                f"onto {len(new_assignment.nodes)} nodes, "
-                f"tasks={new_topology.num_tasks}, added={added}, "
-                f"removed={removed}, moved={moved}",
-            )
-            return moved, added, removed
-
-        run.rescale = traced_rescale
-
-        # acks and failures are observed through the stats hooks
-        stats = run.stats
-        original_ack = stats.record_ack
-
-        def traced_ack(topology_id, latency_s):
-            tracer.record(
-                run.sim.now, "ack", topology_id, f"latency={latency_s * 1e3:.3f}ms"
-            )
-            return original_ack(topology_id, latency_s)
-
-        stats.record_ack = traced_ack
-
-        original_failed = stats.record_failed
-
-        def traced_failed(topology_id, tuples):
-            tracer.record(run.sim.now, "fail", topology_id, f"tuples={tuples}")
-            return original_failed(topology_id, tuples)
-
-        stats.record_failed = traced_failed
-        self._wrapped = [
-            (run, "_finish_emit"),
-            (run, "_finish_replay"),
-            (run, "_deliver"),
-            (run, "_fc_stall"),
-            (run, "_fc_resume"),
-            (run, "_shed"),
-            (run, "_crash_task"),
-            (run, "_fail_node"),
-            (run, "_recover_node"),
-            (run, "migrate"),
-            (run, "rescale"),
-            (stats, "record_ack"),
-            (stats, "record_failed"),
-        ]
-
-    def uninstall(self) -> None:
-        """Remove the wrappers, restoring the run's original hooks.
-
-        The recorded events stay queryable.  Needed before pickling the
-        run or anything referencing its stats server (closures are not
-        picklable); also strips any tracer installed on top of this one.
-        """
-        if not self._installed:
+    def record(self, time: float, kind: str, topology: str, *fields) -> None:
+        """Store one event; ``fields`` follow the kind's field names."""
+        event = TraceEvent((time, kind, topology, *fields))
+        ring = self._ring
+        if _KINDS[kind].control:
+            self._control.append((self.dropped + len(ring), event))
             return
-        for owner, name in self._wrapped:
-            try:
-                delattr(owner, name)
-            except AttributeError:
-                pass
-        self._wrapped = []
-        self._installed = False
+        if len(ring) == self.capacity:
+            self.dropped += 1
+        ring.append(event)
 
     # -- queries ------------------------------------------------------------------
 
+    def _stored(self, kind: Optional[str] = None) -> Iterable[TraceEvent]:
+        """Kept events in record order (one store when ``kind`` is set)."""
+        if kind is None:
+            return self._merged()
+        if kind in self.CONTROL_KINDS:
+            return [event for _, event in self._control]
+        return self._ring
+
+    def _merged(self) -> Iterator[TraceEvent]:
+        control = self._control
+        pending = 0
+        for index, event in enumerate(self._ring, self.dropped):
+            while pending < len(control) and control[pending][0] <= index:
+                yield control[pending][1]
+                pending += 1
+            yield event
+        for _, event in control[pending:]:
+            yield event
+
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._control) + len(self._ring)
 
     def events(self) -> List[TraceEvent]:
-        return list(self._events)
+        return list(self._stored())
 
     def query(
         self,
@@ -320,7 +222,7 @@ class Tracer:
         """Filter the trace by kind, topology and time window."""
         return [
             event
-            for event in self._events
+            for event in self._stored(kind)
             if (kind is None or event.kind == kind)
             and (topology is None or event.topology == topology)
             and since <= event.time <= until
@@ -328,6 +230,6 @@ class Tracer:
 
     def counts_by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for event in self._events:
+        for event in self._stored():
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts

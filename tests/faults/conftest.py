@@ -27,6 +27,7 @@ def build_chaos(
     heartbeat_interval_s=2.0,
     heartbeat_timeout_s=6.0,
     scheduling_interval_s=5.0,
+    monitor=None,
 ):
     """Stand up the full coordination plane around one fault schedule.
 
@@ -55,7 +56,7 @@ def build_chaos(
         heartbeat_interval_s=heartbeat_interval_s,
         timeout_s=heartbeat_timeout_s,
     )
-    monitor = RecoveryMonitor()
+    monitor = monitor or RecoveryMonitor()
     monitor.attach(run, detector=detector, nimbus=nimbus)
     detector.attach(run)
     nimbus.attach(run, interval_s=scheduling_interval_s)

@@ -73,7 +73,7 @@ def _flap_schedule(victim: str) -> FaultSchedule:
     )
 
 
-def build():
+def build(monitor=None):
     cluster = emulab_testbed()
     topology = linear_topology("compute")
     zk = InMemoryZooKeeper()
@@ -103,7 +103,7 @@ def build():
     detector = HeartbeatFailureDetector(
         supervisors.values(), heartbeat_interval_s=2.0, timeout_s=6.0
     )
-    monitor = RecoveryMonitor()
+    monitor = monitor or RecoveryMonitor()
     monitor.attach(run, detector=detector, nimbus=nimbus)
     detector.attach(run)
     nimbus.attach(run, interval_s=5.0)

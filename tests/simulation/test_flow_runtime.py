@@ -66,13 +66,13 @@ class TestBackpressure:
             FlowControlConfig(queue_capacity=32), tracer=tracer
         )
         stalled_edges = {
-            event.detail.split(" paused (")[1].split(" edge")[0]
+            (event.producer, event.consumer)
             for event in tracer.query(kind="stall")
         }
         # The fan-in hotspot fills bolt-1 -> bolt-2 first, and the stall
         # propagates upstream to the spout -> bolt-1 edge.
-        assert "bolt-1 -> bolt-2" in stalled_edges
-        assert "spout -> bolt-1" in stalled_edges
+        assert ("bolt-1", "bolt-2") in stalled_edges
+        assert ("spout", "bolt-1") in stalled_edges
         assert report.spout_throttled_s(TOPO_ID) > 0
         assert report.credit_stall_total(TOPO_ID) > 0
 
@@ -83,7 +83,7 @@ class TestBackpressure:
         for event in tracer.events():
             if event.kind not in ("stall", "resume"):
                 continue
-            edge = event.detail.split("(")[1].split(" edge")[0]
+            edge = (event.producer, event.consumer)
             per_edge.setdefault(edge, []).append(event.kind)
         assert per_edge
         for edge, kinds in per_edge.items():
@@ -92,23 +92,27 @@ class TestBackpressure:
                 assert kind == expected, (edge, kinds)
 
     def test_stalled_spout_never_emits(self):
-        """Between a spout stall and its resume, no emit event fires."""
+        """Between a spout stall and its resume, no spout task starts a
+        new emit: each finishes at most the batch already in service."""
         tracer = Tracer()
         overloaded_run(FlowControlConfig(queue_capacity=32), tracer=tracer)
-        stalled = False
+        window = None
         saw_windows = 0
         for event in tracer.events():
-            if event.kind == "stall" and event.detail.startswith("spout "):
-                stalled = True
+            if event.kind == "stall" and event.producer == "spout":
+                window = {}
                 saw_windows += 1
-            elif event.kind == "resume" and event.detail.startswith(
-                "spout "
+            elif event.kind == "resume" and event.producer == "spout":
+                window = None
+            elif (
+                event.kind == "emit"
+                and window is not None
+                and event.task.component == "spout"
             ):
-                stalled = False
-            elif event.kind == "emit" and stalled:
-                assert not event.detail.startswith(
-                    "spout"
-                ), f"stalled spout emitted at {event.time}"
+                window[event.task] = window.get(event.task, 0) + 1
+                assert (
+                    window[event.task] == 1
+                ), f"stalled {event.task} started an emit by {event.time}"
         assert saw_windows > 0, "no spout stall was ever traced"
 
     def test_credit_ledgers_conserved_after_run(self):

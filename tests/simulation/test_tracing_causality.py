@@ -36,9 +36,9 @@ class TestCausality:
         reschedules = tracer.query(kind="reschedule")
         migrates = tracer.query(kind="migrate")
 
-        assert victim in inject.detail
-        assert down.detail == victim
-        assert expire.detail == victim
+        assert victim in inject.fault
+        assert down.node == victim
+        assert expire.node == victim
         assert reschedules and migrates
 
         assert inject.time <= down.time <= expire.time
@@ -60,25 +60,16 @@ class TestCausality:
             assert following, "every reschedule must be applied"
 
 
-class TestUninstall:
-    def test_uninstall_makes_report_picklable(self):
+class TestPickling:
+    def test_report_pickles_with_tracer_installed(self):
         ctx, _, report = crashed_trace()
-        ctx.monitor.tracer.uninstall()
+        assert ctx.run.tracer is ctx.monitor.tracer
         clone = pickle.loads(pickle.dumps(report))
         assert clone.sunk(ctx.topology.topology_id) == report.sunk(
             ctx.topology.topology_id
         )
 
-    def test_uninstall_preserves_recorded_events(self):
-        ctx, _, _ = crashed_trace()
-        tracer = ctx.monitor.tracer
-        before = len(tracer)
-        tracer.uninstall()
-        assert len(tracer) == before
-        assert not tracer.installed
-
-    def test_uninstall_is_idempotent(self):
-        ctx, _, _ = crashed_trace()
-        ctx.monitor.tracer.uninstall()
-        ctx.monitor.tracer.uninstall()
-        assert not ctx.monitor.tracer.installed
+    def test_recovery_report_pickles_with_tracer_installed(self):
+        ctx, _, report = crashed_trace()
+        recovery = ctx.monitor.report(ctx.topology.topology_id, report)
+        assert pickle.loads(pickle.dumps(recovery)) == recovery
