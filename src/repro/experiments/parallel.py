@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.flow import FlowModel
 from repro.errors import ConfigError, SchedulingError
@@ -118,8 +118,22 @@ def _seed_for(unit: Any) -> int:
     return int(cache_key(unit.cache_token())[:16], 16)
 
 
+class _WorkUnit:
+    """Base of every unit kind: the cache token is the unit's ``KIND``
+    followed by each field that takes part in equality, in declaration
+    order — so presentational fields (``compare=False``, e.g. ``label``)
+    reach neither a cache key nor an RNG seed."""
+
+    KIND: ClassVar[str]
+
+    def cache_token(self) -> Any:
+        return (self.KIND,) + tuple(
+            getattr(self, f.name) for f in fields(self) if f.compare
+        )
+
+
 @dataclass(frozen=True)
-class SimulationUnit:
+class SimulationUnit(_WorkUnit):
     """One (scheduler, topology set, cluster, config, trial) DES run.
 
     ``trial`` distinguishes repeats of otherwise-identical work (each
@@ -129,6 +143,8 @@ class SimulationUnit:
     runs) hits the same entry.
     """
 
+    KIND: ClassVar[str] = "sim"
+
     scheduler: FactorySpec
     topologies: Tuple[FactorySpec, ...]
     cluster: FactorySpec
@@ -136,17 +152,6 @@ class SimulationUnit:
     interrack_uplink_mbps: Optional[float] = None
     trial: int = 0
     label: str = field(default="", compare=False)
-
-    def cache_token(self) -> Any:
-        return (
-            "sim",
-            self.scheduler,
-            self.topologies,
-            self.cluster,
-            self.config,
-            self.interrack_uplink_mbps,
-            self.trial,
-        )
 
     def execute(self) -> SingleRunOutcome:
         random.seed(_seed_for(self))
@@ -172,7 +177,7 @@ class ScheduleOutcome:
 
 
 @dataclass(frozen=True)
-class ScheduleUnit:
+class ScheduleUnit(_WorkUnit):
     """Schedule + evaluate + flow-model predict, without the DES.
 
     Used where simulation is unnecessary or unaffordable: the
@@ -182,6 +187,8 @@ class ScheduleUnit:
     run that produced the entry.
     """
 
+    KIND: ClassVar[str] = "schedule"
+
     scheduler: FactorySpec
     topologies: Tuple[FactorySpec, ...]
     cluster: FactorySpec
@@ -189,17 +196,6 @@ class ScheduleUnit:
     interrack_uplink_mbps: Optional[float] = None
     trial: int = 0
     label: str = field(default="", compare=False)
-
-    def cache_token(self) -> Any:
-        return (
-            "schedule",
-            self.scheduler,
-            self.topologies,
-            self.cluster,
-            self.config,
-            self.interrack_uplink_mbps,
-            self.trial,
-        )
 
     def execute(self) -> ScheduleOutcome:
         random.seed(_seed_for(self))
@@ -254,7 +250,7 @@ class ChaosOutcome:
 
 
 @dataclass(frozen=True)
-class ChaosUnit:
+class ChaosUnit(_WorkUnit):
     """One fault-injected run of the full coordination plane.
 
     Unlike :class:`SimulationUnit`, which simulates a fixed placement,
@@ -276,6 +272,8 @@ class ChaosUnit:
     what keeps chaos outcomes cacheable.
     """
 
+    KIND: ClassVar[str] = "chaos"
+
     scheduler: FactorySpec
     topologies: Tuple[FactorySpec, ...]
     cluster: FactorySpec
@@ -289,22 +287,6 @@ class ChaosUnit:
     quarantine: bool = False
     trial: int = 0
     label: str = field(default="", compare=False)
-
-    def cache_token(self) -> Any:
-        return (
-            "chaos",
-            self.scheduler,
-            self.topologies,
-            self.cluster,
-            self.config,
-            self.faults,
-            self.heartbeat_interval_s,
-            self.heartbeat_timeout_s,
-            self.scheduling_interval_s,
-            self.interrack_uplink_mbps,
-            self.quarantine,
-            self.trial,
-        )
 
     def _resolve_faults(self, cluster, assignments) -> FaultSchedule:
         built = self.faults.build()
@@ -408,7 +390,7 @@ class ElasticOutcome:
 
 
 @dataclass(frozen=True)
-class ElasticUnit:
+class ElasticUnit(_WorkUnit):
     """One run with the elastic control loop attached (or deliberately
     disabled — the static baselines use the same unit with
     ``nimbus.elastic.enabled`` left false, so both sides of the
@@ -419,6 +401,8 @@ class ElasticUnit:
     and its cache key stable.
     """
 
+    KIND: ClassVar[str] = "elastic"
+
     scheduler: FactorySpec
     topologies: Tuple[FactorySpec, ...]
     cluster: FactorySpec
@@ -428,18 +412,6 @@ class ElasticUnit:
     interrack_uplink_mbps: Optional[float] = None
     trial: int = 0
     label: str = field(default="", compare=False)
-
-    def cache_token(self) -> Any:
-        return (
-            "elastic",
-            self.scheduler,
-            self.topologies,
-            self.cluster,
-            self.config,
-            self.storm,
-            self.interrack_uplink_mbps,
-            self.trial,
-        )
 
     def execute(self) -> ElasticOutcome:
         random.seed(_seed_for(self))
@@ -523,7 +495,7 @@ class TenantOutcome:
 
 
 @dataclass(frozen=True)
-class TenantUnit:
+class TenantUnit(_WorkUnit):
     """One multi-tenant contention run: a staged submission schedule is
     pushed through weighted-DRF admission (credits, preemption) over
     ``rounds`` Nimbus scheduling rounds, then the admitted set runs in
@@ -537,6 +509,8 @@ class TenantUnit:
     :class:`ElasticUnit` carries ``nimbus.elastic.*`` ones.
     """
 
+    KIND: ClassVar[str] = "tenants"
+
     scheduler: FactorySpec
     tenants: Tuple[Tenant, ...]
     submissions: Tuple[Tuple[int, str, FactorySpec], ...]
@@ -549,21 +523,6 @@ class TenantUnit:
     interrack_uplink_mbps: Optional[float] = None
     trial: int = 0
     label: str = field(default="", compare=False)
-
-    def cache_token(self) -> Any:
-        return (
-            "tenants",
-            self.scheduler,
-            self.tenants,
-            self.submissions,
-            self.cluster,
-            self.config,
-            self.storm,
-            self.rounds,
-            self.scheduling_interval_s,
-            self.interrack_uplink_mbps,
-            self.trial,
-        )
 
     def execute(self) -> TenantOutcome:
         random.seed(_seed_for(self))

@@ -216,9 +216,9 @@ class ElasticController:
         now = run.sim.now
         last_time = self._last_time if self._last_time is not None else 0.0
         dt = now - last_time
-        processed = run.stats.processed_snapshot()
-        busy = run.stats.busy_snapshot()
-        shed = run.stats.shed_snapshot()
+        processed = run.stats.snapshot("processed")
+        busy = run.stats.snapshot("busy")
+        shed = run.stats.snapshot("shed", "topology", "component")
         if dt > 0:
             for topology_id in list(self.nimbus.assignments):
                 scaled = self._scale_topology(

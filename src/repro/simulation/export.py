@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import pickle
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.simulation.report import SimulationReport
 
@@ -84,6 +84,7 @@ def report_as_dict(report: SimulationReport) -> Dict:
             "sunk": report.sunk(topo_id),
             "failed": report.failed(topo_id),
             "worker_crashes": report.crashes(topo_id),
+            "dropped_batches": report.dropped(topo_id),
             "nodes_used": list(report.nodes_used.get(topo_id, ())),
             "ack_latency_ms": {
                 "count": latency.count,

@@ -292,6 +292,32 @@ class SimulationRun:
         self.config = config or SimulationConfig()
         self.sim = Simulator()
         self.stats = StatisticServer(self.config.window_s)
+        self._window_s = self.config.window_s
+        # The counters this run writes, bound once: every metric update
+        # below is an in-place increment of one of these dicts.  Window
+        # labels are int(now / window_s): truncation is floor for the
+        # non-negative simulated times the run produces.
+        counters = self.stats.counters
+        self._sink = counters["sink"]
+        self._processed = counters["processed"]
+        self._emitted = counters["emitted"]
+        self._failed = counters["failed"]
+        self._busy = counters["busy"]
+        self._nic_bytes = counters["nic_bytes"]
+        self._crashes = counters["crashes"]
+        self._dropped = counters["dropped"]
+        self._replayed = counters["replayed"]
+        self._exhausted = counters["exhausted"]
+        self._lost = counters["lost"]
+        self._duplicated = counters["duplicated"]
+        self._acked = counters["acked"]
+        self._offered = counters["offered"]
+        self._arrivals_dropped = counters["arrivals_dropped"]
+        self._shed_tuples = counters["shed"]
+        self._credit_stalls = counters["credit_stalls"]
+        self._spout_throttled = counters["spout_throttled_s"]
+        self._ack_samples = self.stats.ack_samples
+        self._e2e = self.stats.e2e_digests
         self.transfer = TransferModel(cluster, interrack_uplink_mbps)
         self._placement_version = 0
         # Hot-path copies of immutable config knobs (attribute access on
@@ -453,9 +479,7 @@ class SimulationRun:
                 if fc.stalled_edges.get(name, 0) > 0:
                     fc.spout_stalled_since[name] = since
                 else:
-                    self.stats.record_spout_throttle(
-                        topo_rt.topology_id, now - since
-                    )
+                    self._spout_throttled[topo_rt.topology_id] += now - since
         topo_rt.flow = fc
         if old is not None:
             # Tasks the rebuild un-paused must drain again.
@@ -909,7 +933,7 @@ class SimulationRun:
         """
         now = self.sim.now
         topo_id = spout.topo.topology_id
-        self.stats.record_offered(topo_id, now, tuples)
+        self._offered[(topo_id, int(now / self._window_s))] += tuples
         self._arrival_log.append((source, now, tuples, key))
         if spout.alive and spout.node.node.alive:
             fc_shed = self._fc_shed
@@ -923,7 +947,7 @@ class SimulationRun:
             else:
                 self._push_work(spout, _EMIT, (now, tuples, key))
         else:
-            self.stats.record_arrival_dropped(topo_id, tuples)
+            self._arrivals_dropped[topo_id] += tuples
         nxt = next(stream, None)
         if nxt is not None:
             time_s, ntuples, nkey = nxt
@@ -1013,7 +1037,7 @@ class SimulationRun:
             except ValueError:  # pragma: no cover - defensive
                 pass
             task.queued = False
-        self.stats.record_crash(task.topo.topology_id, task.component.name)
+        self._crashes[(task.topo.topology_id, task.component.name)] += 1
         self.sim.schedule_after(
             self.config.worker_restart_s, self._revive_task, task
         )
@@ -1090,7 +1114,7 @@ class SimulationRun:
         service: float,
         node_rt: _NodeRuntime,
     ) -> None:
-        self.stats.record_busy(node_rt.node_id, service)
+        self._busy[node_rt.node_id] += service
         task.running = False
         node_rt.active -= 1
         if task.alive and node_rt.node.alive:
@@ -1136,7 +1160,7 @@ class SimulationRun:
             # This body is the hot path — kept free of open-loop work.
             tuples = spout.profile.emit_batch_tuples
             root_id = next(topo.next_root)
-            self.stats.record_emitted(topo.topology_id, tuples)
+            self._emitted[topo.topology_id] += tuples
             deliveries = self._route(spout, tuples, root_id, root_id)
             if deliveries:
                 topo.pending[root_id] = _PendingTree(
@@ -1147,9 +1171,8 @@ class SimulationRun:
                     topo.origins_created += 1
             else:
                 # A spout with no subscribers is its own sink.
-                self.stats.record_sink(
-                    topo.topology_id, spout.component.name, now, tuples
-                )
+                self._sink[(topo.topology_id, spout.component.name,
+                            int(now / self._window_s))] += tuples
             spout.emit_blocked = False
             if spout.profile.max_rate_tps is not None:
                 interval = tuples / spout.profile.max_rate_tps
@@ -1162,7 +1185,7 @@ class SimulationRun:
         # next emission is the next arrival, so no credit/rate logic.
         arrived_at, tuples, key = payload
         root_id = next(topo.next_root)
-        self.stats.record_emitted(topo.topology_id, tuples)
+        self._emitted[topo.topology_id] += tuples
         deliveries = self._route(
             spout, tuples, root_id, root_id if key is None else key
         )
@@ -1175,13 +1198,10 @@ class SimulationRun:
                 topo.origins_created += 1
         else:
             # A spout with no subscribers is its own sink.
-            self.stats.record_sink(
-                topo.topology_id, spout.component.name, now, tuples
-            )
+            self._sink[(topo.topology_id, spout.component.name,
+                        int(now / self._window_s))] += tuples
             if arrived_at is not None:
-                self.stats.record_e2e_latency(
-                    topo.topology_id, now - arrived_at
-                )
+                self._e2e[topo.topology_id].add(now - arrived_at)
         spout.emit_blocked = False
 
     def _finish_process(self, task: _TaskRuntime, payload) -> None:
@@ -1190,8 +1210,9 @@ class SimulationRun:
         root_id = payload[0]
         tuples = payload[1]
         topo = task.topo
+        topo_id = topo.topology_id
         now = self.sim.now
-        self.stats.record_processed(topo.topology_id, task.component.name, tuples)
+        self._processed[(topo_id, task.component.name)] += tuples
         children = 0
         if task.out_routes:
             ratio = task.profile.output_ratio
@@ -1201,9 +1222,8 @@ class SimulationRun:
             if out_tuples > 0:
                 children = self._route(task, out_tuples, root_id, root_id)
         else:
-            self.stats.record_sink(
-                topo.topology_id, task.component.name, now, tuples
-            )
+            self._sink[(topo_id, task.component.name,
+                        int(now / self._window_s))] += tuples
         entry = topo.pending.get(root_id)
         if entry is None:
             # Root already timed out, or this is a ghost batch (a wire
@@ -1217,19 +1237,16 @@ class SimulationRun:
             spout.inflight -= 1
             if self.tracer is not None:
                 self.tracer.record(
-                    now, "ack", topo.topology_id,
-                    (now - entry.emitted_at) * 1e3,
+                    now, "ack", topo_id, (now - entry.emitted_at) * 1e3
                 )
-            self.stats.record_ack(topo.topology_id, now - entry.emitted_at)
+            self._ack_samples[topo_id].append(now - entry.emitted_at)
             if entry.arrived_at is not None:
                 # End-to-end latency: arrival at the spout to full ack,
                 # including any time spent queued before emission.
-                self.stats.record_e2e_latency(
-                    topo.topology_id, now - entry.arrived_at
-                )
+                self._e2e[topo_id].add(now - entry.arrived_at)
             if self._at_least_once:
-                self.stats.record_acked_tuples(
-                    topo.topology_id, now, entry.tuples
+                self._acked[(topo_id, int(now / self._window_s))] += (
+                    entry.tuples
                 )
             self._try_emit(spout)
 
@@ -1267,7 +1284,7 @@ class SimulationRun:
         topo = spout.topo
         now = self.sim.now
         root_id = next(topo.next_root)
-        self.stats.record_replayed(topo.topology_id, tuples)
+        self._replayed[topo.topology_id] += tuples
         deliveries = self._route(spout, tuples, root_id, root_id)
         topo.replays_outstanding -= 1
         if deliveries:
@@ -1280,7 +1297,7 @@ class SimulationRun:
             spout.inflight += 1
         else:  # pragma: no cover - a spout with consumers always routes
             topo.origins_exhausted += 1
-            self.stats.record_exhausted(topo.topology_id, tuples)
+            self._exhausted[topo.topology_id] += tuples
         if self.tracer is not None:
             self.tracer.record(
                 now, "replay", topo.topology_id, root_id, origin_root,
@@ -1292,7 +1309,7 @@ class SimulationRun:
         counted as exhausted so the at-least-once audit stays closed."""
         topo.replays_outstanding -= 1
         topo.origins_exhausted += 1
-        self.stats.record_exhausted(topo.topology_id, tuples)
+        self._exhausted[topo.topology_id] += tuples
 
     def _abandon_queued_replays(self, spout: _TaskRuntime) -> None:
         """Scan a dying spout's work queue for not-yet-serviced replays
@@ -1320,7 +1337,7 @@ class SimulationRun:
             topo_id = topo_rt.topology_id
             audit[topo_id] = {
                 "origins_created": topo_rt.origins_created,
-                "origins_acked": len(self.stats.ack_latencies(topo_id)),
+                "origins_acked": len(self._ack_samples.get(topo_id, ())),
                 "origins_exhausted": topo_rt.origins_exhausted,
                 "origins_shed": topo_rt.origins_shed,
                 "pending": len(topo_rt.pending),
@@ -1372,7 +1389,7 @@ class SimulationRun:
         lossy = transfer_model.lossy
         schedule_at = self.sim.schedule_at
         deliver = self._deliver
-        record_nic = self.stats.record_nic
+        nic_bytes = self._nic_bytes
         for route in producer.out_routes:
             if route.levels_version != version:
                 self._refresh_route(producer, route)
@@ -1391,7 +1408,7 @@ class SimulationRun:
                     num_bytes,
                 )
                 if remote[idx]:
-                    record_nic(producer_node_id, num_bytes)
+                    nic_bytes[producer_node_id] += num_bytes
                 deliveries += 1
                 if lossy:
                     copies = transfer_model.copies(
@@ -1402,9 +1419,7 @@ class SimulationRun:
                         # the acker still expects this delivery (it was
                         # counted above), so the tree can only resolve by
                         # timing out — exactly Storm's failure mode.
-                        self.stats.record_lost(
-                            producer.topo.topology_id, tuples
-                        )
+                        self._lost[producer.topo.topology_id] += tuples
                         continue
                     if copies == 2:
                         # Wire duplicate: a second, fully-costed transfer
@@ -1417,10 +1432,8 @@ class SimulationRun:
                             level, num_bytes,
                         )
                         if remote[idx]:
-                            record_nic(producer_node_id, num_bytes)
-                        self.stats.record_duplicate(
-                            producer.topo.topology_id, tuples
-                        )
+                            nic_bytes[producer_node_id] += num_bytes
+                        self._duplicated[producer.topo.topology_id] += tuples
                         if fc is not None:
                             # Ghost copies occupy real queue space too.
                             self._fc_send(
@@ -1451,7 +1464,7 @@ class SimulationRun:
                 tuples, consumer.task, level,
             )
         if not consumer.alive or not consumer.node.node.alive:
-            self.stats.record_dropped()
+            self._dropped[consumer.topo.topology_id] += 1
             if self._fc is not None and src is not None:
                 # The batch consumed an edge credit when routed; a dead
                 # consumer never drains it, so return it here.
@@ -1481,9 +1494,7 @@ class SimulationRun:
         if ledger is None:  # pragma: no cover - defensive
             return
         if ledger.send():
-            self.stats.record_credit_stall(
-                topo_rt.topology_id, producer, consumer
-            )
+            self._credit_stalls[topo_rt.topology_id] += 1
             count = fc.stalled_edges.get(producer, 0) + 1
             fc.stalled_edges[producer] = count
             if count == 1:
@@ -1540,8 +1551,8 @@ class SimulationRun:
             rt.fc_paused = False
         since = fc.spout_stalled_since.pop(producer, None)
         if since is not None:
-            self.stats.record_spout_throttle(
-                topo_rt.topology_id, self.sim.now - since
+            self._spout_throttled[topo_rt.topology_id] += (
+                self.sim.now - since
             )
         for rt in tasks:
             if not rt.alive or not rt.node.node.alive:
@@ -1600,7 +1611,9 @@ class SimulationRun:
             self.tracer.record(
                 now, "shed", topology_id, component, tuples, stage
             )
-        self.stats.record_shed(topology_id, component, stage, now, tuples)
+        self._shed_tuples[
+            (topology_id, component, stage, int(now / self._window_s))
+        ] += tuples
         self._fc_ledger.record(
             ShedRecord(
                 now, topology_id, component, stage, tuples,
@@ -1650,15 +1663,13 @@ class SimulationRun:
                 self.tracer.record(
                     self.sim.now, "fail", topo_rt.topology_id, entry.tuples
                 )
-            self.stats.record_failed(topo_rt.topology_id, entry.tuples)
+            self._failed[topo_rt.topology_id] += entry.tuples
             if not at_least_once and self._track_origins:
                 # Flow control without at-least-once: a timed-out tree is
                 # given up on for good, so the origin audit resolves it
                 # as exhausted (never silently lost).
                 topo_rt.origins_exhausted += 1
-                self.stats.record_exhausted(
-                    topo_rt.topology_id, entry.tuples
-                )
+                self._exhausted[topo_rt.topology_id] += entry.tuples
             if at_least_once:
                 if entry.attempt < self._max_retries:
                     # Exponential backoff before the spout re-emits; the
@@ -1673,9 +1684,7 @@ class SimulationRun:
                     )
                 else:
                     topo_rt.origins_exhausted += 1
-                    self.stats.record_exhausted(
-                        topo_rt.topology_id, entry.tuples
-                    )
+                    self._exhausted[topo_rt.topology_id] += entry.tuples
             if spout.alive:
                 self._try_emit(spout)
         self.sim.schedule_after(period, self._sweep, topo_rt, period)

@@ -45,17 +45,17 @@ class TestLatencyStats:
 class TestThroughputViews:
     def test_average_excludes_warmup(self):
         report, stats = make_report()
-        stats.record_sink("t", "s", 5.0, 999999)  # warmup window
-        stats.record_sink("t", "s", 15.0, 100)
-        stats.record_sink("t", "s", 25.0, 200)
-        stats.record_sink("t", "s", 35.0, 300)
-        stats.record_sink("t", "s", 45.0, 400)
-        stats.record_sink("t", "s", 55.0, 500)
+        stats.counters["sink"][("t", "s", 0)] += 999999  # warmup window
+        stats.counters["sink"][("t", "s", 1)] += 100
+        stats.counters["sink"][("t", "s", 2)] += 200
+        stats.counters["sink"][("t", "s", 3)] += 300
+        stats.counters["sink"][("t", "s", 4)] += 400
+        stats.counters["sink"][("t", "s", 5)] += 500
         assert report.average_throughput_per_window("t") == pytest.approx(300.0)
 
     def test_average_tps(self):
         report, stats = make_report()
-        stats.record_sink("t", "s", 15.0, 1000)
+        stats.counters["sink"][("t", "s", 1)] += 1000
         avg_window = report.average_throughput_per_window("t")
         assert report.average_throughput_tps("t") == pytest.approx(
             avg_window / 10.0
@@ -69,20 +69,20 @@ class TestThroughputViews:
 class TestCpuViews:
     def test_cpu_utilisation_accounts_cores(self):
         report, stats = make_report(duration=10.0, warmup=1.0)
-        stats.record_busy("n1", 5.0)
-        stats.record_busy("n2", 5.0)
+        stats.counters["busy"]["n1"] += 5.0
+        stats.counters["busy"]["n2"] += 5.0
         assert report.cpu_utilisation("n1") == pytest.approx(0.5)
         assert report.cpu_utilisation("n2") == pytest.approx(0.25)  # 2 cores
 
     def test_mean_cpu_utilisation_over_used_nodes(self):
         report, stats = make_report(duration=10.0, warmup=1.0)
-        stats.record_busy("n1", 10.0)
-        stats.record_busy("n2", 0.0)
+        stats.counters["busy"]["n1"] += 10.0
+        stats.counters["busy"]["n2"] += 0.0
         assert report.mean_cpu_utilisation() == pytest.approx(0.5)
 
     def test_mean_cpu_utilisation_explicit_nodes(self):
         report, stats = make_report(duration=10.0, warmup=1.0)
-        stats.record_busy("n1", 10.0)
+        stats.counters["busy"]["n1"] += 10.0
         assert report.mean_cpu_utilisation(["n1"]) == pytest.approx(1.0)
 
     def test_empty_node_list(self):
@@ -93,8 +93,8 @@ class TestCpuViews:
 class TestSummary:
     def test_summary_contains_headline_numbers(self):
         report, stats = make_report()
-        stats.record_sink("t", "s", 15.0, 100)
-        stats.record_emitted("t", 120)
+        stats.counters["sink"][("t", "s", 1)] += 100
+        stats.counters["emitted"]["t"] += 120
         summary = report.summary()
         assert "t" in summary
         assert summary["t"]["emitted"] == 120.0

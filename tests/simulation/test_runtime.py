@@ -56,7 +56,7 @@ class TestBasicExecution:
         topology = builder.build()
         _, report = schedule_and_run(topology)
         sunk = report.sunk("fanout")
-        processed_by_triple = report.stats.processed_total("fanout", "triple")
+        processed_by_triple = report.stats.total("processed", "fanout", "triple")
         assert sunk >= 2.5 * processed_by_triple
 
     def test_copies_to_every_subscriber(self):
@@ -67,8 +67,8 @@ class TestBasicExecution:
         builder.set_bolt("b", 1, profile=prof).shuffle_grouping("s")
         topology = builder.build()
         _, report = schedule_and_run(topology)
-        a = report.stats.processed_total("copies", "a")
-        b = report.stats.processed_total("copies", "b")
+        a = report.stats.total("processed", "copies", "a")
+        b = report.stats.total("processed", "copies", "b")
         assert a > 0 and abs(a - b) <= prof.emit_batch_tuples
 
     def test_rate_capped_spout_emits_at_cap(self):
