@@ -149,20 +149,27 @@ class Nimbus:
     def _live_assignments(self) -> Dict[str, Assignment]:
         """Existing assignments restricted to alive nodes — dead-node
         placements are dropped so the scheduler re-places those tasks and
-        their stale reservations are released."""
+        their stale reservations are released.
+
+        An assignment with no slot on a dead node passes through as the
+        same object.  The liveness test reads slot node ids, never
+        ``Assignment.nodes``: that would build the lazy per-node index on
+        every assignment ``rounds`` retains.
+        """
         alive = {n.node_id for n in self.cluster.alive_nodes}
         live: Dict[str, Assignment] = {}
         for topo_id, assignment in self.assignments.items():
             if topo_id not in self._topologies:
                 continue
             surviving = assignment.restricted_to_nodes(alive)
-            dropped = set(assignment.tasks) - set(surviving.tasks)
-            for task in dropped:
-                node_id = assignment.node_of(task)
-                if self.cluster.has_node(node_id):
-                    node = self.cluster.node(node_id)
-                    if task_label(task) in node.reservations:
-                        node.release(task_label(task))
+            if surviving is not assignment:
+                dropped = set(assignment.tasks) - set(surviving.tasks)
+                for task in dropped:
+                    node_id = assignment.node_of(task)
+                    if self.cluster.has_node(node_id):
+                        node = self.cluster.node(node_id)
+                        if task_label(task) in node.reservations:
+                            node.release(task_label(task))
             live[topo_id] = surviving
         return live
 

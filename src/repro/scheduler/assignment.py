@@ -119,8 +119,11 @@ class Assignment:
 
     def restricted_to_nodes(self, node_ids: Iterable[str]) -> "Assignment":
         """The sub-assignment on the given nodes (used when reconciling
-        after node failures: keep what survived, reschedule the rest)."""
+        after node failures: keep what survived, reschedule the rest).
+        Returns ``self``, uncopied, when every slot is on one of them."""
         keep = set(node_ids)
+        if all(slot.node_id in keep for slot in self._slot_of.values()):
+            return self
         return Assignment(
             self.topology_id,
             {t: s for t, s in self._slot_of.items() if s.node_id in keep},

@@ -4,9 +4,16 @@ Nimbus is stateless across scheduler invocations, so R-Storm rebuilds a
 ``GlobalState`` from the cluster and the currently-live assignments on
 every scheduling round.  It tracks:
 
-* where every task of every topology is placed,
+* where every task of every topology is placed, globally and per
+  topology,
 * the resource reservations those placements imply on each node, and
 * which worker slots are occupied by which topologies.
+
+Node reservations outlive the round (they sit on the cluster's nodes),
+so the rebuild only reserves for a live task whose node lacks its
+reservation; a steady-state rebuild is one pass over the live
+placements.  Per-topology queries and updates cost that topology's
+tasks, never all live placements.
 
 All mutation of node availability during scheduling goes through this
 class so a scheduling round can be reconciled or replayed atomically.
@@ -34,6 +41,9 @@ class GlobalState:
         self.cluster = cluster
         #: task -> slot for every placed task across all topologies
         self._placements: Dict[Task, WorkerSlot] = {}
+        #: topology id -> {task: slot}, in the same insertion order as
+        #: that topology's entries in ``_placements``
+        self._by_topology: Dict[str, Dict[Task, WorkerSlot]] = {}
         #: slot -> topology ids using it
         self._slot_users: Dict[WorkerSlot, Set[str]] = {}
         #: lazily-built flat-array resource view (see :attr:`packed`)
@@ -42,10 +52,11 @@ class GlobalState:
     @property
     def packed(self) -> PackedClusterState:
         """Flat per-dimension resource arrays over the alive nodes,
-        built on first use and kept in sync by :meth:`place` /
-        :meth:`unplace`.  Valid for the lifetime of this state object —
-        i.e. one scheduling round (Nimbus rebuilds ``GlobalState`` every
-        round, so liveness changes between rounds get a fresh view)."""
+        built on first use — a round with nothing to place never builds
+        it — and kept in sync by :meth:`place` / :meth:`unplace`.  Valid
+        for the lifetime of this state object, i.e. one scheduling round
+        (Nimbus rebuilds ``GlobalState`` every round, so liveness changes
+        between rounds get a fresh view)."""
         if self._packed is None:
             self._packed = PackedClusterState(self.cluster)
         return self._packed
@@ -65,32 +76,41 @@ class GlobalState:
         ones a new scheduling round must place again.
 
         Args:
-            reserve: also re-apply resource reservations for the existing
-                placements (True for resource-aware scheduling rounds).
+            reserve: reserve the demand of every live placement whose
+                node lacks its reservation (True for resource-aware
+                scheduling rounds).  Reservations stay on the nodes
+                between rounds, so in steady state this reserves nothing.
         """
         state = cls(cluster)
+        placements = state._placements
+        slot_users = state._slot_users
+        alive = {node.node_id: node for node in cluster.alive_nodes}
         for topo_id, assignment in assignments.items():
             topology = topologies.get(topo_id)
+            owner = assignment.topology_id
+            placed = state._by_topology.setdefault(owner, {})
             for task in assignment.tasks:
                 slot = assignment.slot_of(task)
-                if not cluster.has_node(slot.node_id):
+                node = alive.get(slot.node_id)
+                if node is None:
                     continue
-                node = cluster.node(slot.node_id)
-                if not node.alive:
-                    continue
-                demand = topology.task_demand(task) if topology else None
-                already_reserved = node.has_reservation(task_label(task))
-                if reserve and demand is not None and not already_reserved:
+                label = task_label(task)
+                if (
+                    reserve
+                    and topology is not None
+                    and not node.has_reservation(label)
+                ):
                     try:
-                        node.reserve(task_label(task), demand)
+                        node.reserve(label, topology.task_demand(task))
                     except InsufficientResourcesError:
                         # A previously valid placement can exceed hard
                         # budgets after capacity loss; keep the placement
                         # on the books without a reservation so the
                         # operator sees the over-commit in reports.
                         pass
-                state._placements[task] = slot
-                state._slot_users.setdefault(slot, set()).add(task.topology_id)
+                placements[task] = slot
+                placed[task] = slot
+                slot_users.setdefault(slot, set()).add(owner)
         return state
 
     # -- queries -------------------------------------------------------------
@@ -104,9 +124,7 @@ class GlobalState:
     def placed_tasks(self, topology_id: Optional[str] = None) -> List[Task]:
         if topology_id is None:
             return sorted(self._placements)
-        return sorted(
-            t for t in self._placements if t.topology_id == topology_id
-        )
+        return sorted(self._by_topology.get(topology_id, ()))
 
     def node_of(self, task: Task) -> Optional[str]:
         slot = self._placements.get(task)
@@ -122,14 +140,7 @@ class GlobalState:
 
     def assignment_for(self, topology_id: str) -> Assignment:
         """Freeze the current placements of one topology."""
-        return Assignment(
-            topology_id,
-            {
-                t: s
-                for t, s in self._placements.items()
-                if t.topology_id == topology_id
-            },
-        )
+        return Assignment(topology_id, self._by_topology.get(topology_id, {}))
 
     # -- slot selection ------------------------------------------------------
 
@@ -176,6 +187,7 @@ class GlobalState:
             if self._packed is not None:
                 self._packed.refresh_node(node)
         self._placements[task] = slot
+        self._by_topology.setdefault(task.topology_id, {})[task] = slot
         self._slot_users.setdefault(slot, set()).add(task.topology_id)
 
     def unplace(self, task: Task) -> None:
@@ -188,11 +200,9 @@ class GlobalState:
             node.release(task_label(task))
             if self._packed is not None:
                 self._packed.refresh_node(node)
-        remaining = any(
-            t.topology_id == task.topology_id and s == slot
-            for t, s in self._placements.items()
-        )
-        if not remaining:
+        placed = self._by_topology[task.topology_id]
+        del placed[task]
+        if slot not in placed.values():
             users = self._slot_users.get(slot)
             if users:
                 users.discard(task.topology_id)

@@ -4,8 +4,10 @@ The schedulers' inner loops evaluate every alive node for every task —
 an O(tasks x nodes) search per round (the paper's Algorithm 4).  Walking
 ``Node``/``ResourceVector`` objects there pays an allocation and several
 attribute/dict lookups per candidate per dimension.  A
-:class:`PackedClusterState` flattens the same information once per
-scheduling round into plain Python lists:
+:class:`PackedClusterState` flattens the same information into plain
+Python lists, at most once per scheduling round: the first time a
+scheduler has a task to place, after the round's ``GlobalState``
+rebuild has restored every live placement's reservation.
 
 * ``avail[d][i]`` / ``caps[d][i]`` — availability and capacity of
   dimension ``d`` on the ``i``-th alive node, in ``cluster.alive_nodes``

@@ -18,7 +18,7 @@ from collections import deque
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.resources import ResourceVector
-from repro.errors import TopologyValidationError
+from repro.errors import SchemaMismatchError, TopologyValidationError
 from repro.topology.component import Bolt, Component, Spout, StreamSubscription
 from repro.topology.task import Task
 
@@ -281,11 +281,39 @@ class Topology:
         return self.component(task.component).resource_demand()
 
     def total_demand(self) -> ResourceVector:
-        """Sum of declared demand over all tasks."""
-        total = ResourceVector.of()
-        for task in self._tasks:
-            total = total + self.task_demand(task)
-        return total
+        """Sum of declared demand over all tasks, in the tasks' schema
+        (the Storm schema's zero for a topology with no tasks).
+
+        Admission sums every running topology every round, so this folds
+        into one list of floats instead of a vector per task.  It adds
+        task by task in task order (tasks are grouped by component) and
+        dimension by dimension from ``schema.zero()``: the additions
+        chaining ``ResourceVector.__add__`` makes, so the sums are
+        bit-identical to it.
+
+        Raises:
+            SchemaMismatchError: if components declare demands in
+                different schemas.
+        """
+        schema = None
+        totals: List[float] = []
+        for name, tasks in self._tasks_by_component.items():
+            demand = self._components[name].resource_demand()
+            if schema is None:
+                schema = demand.schema
+                totals = list(schema.zero().values)
+            elif demand.schema != schema:
+                raise SchemaMismatchError(
+                    f"topology {self.topology_id!r} mixes demand schemas "
+                    f"{schema!r} and {demand.schema!r}"
+                )
+            values = tuple(enumerate(demand.values))
+            for _ in tasks:
+                for d, value in values:
+                    totals[d] += value
+        if schema is None:
+            return ResourceVector.of()
+        return ResourceVector(schema, totals)
 
     def __repr__(self) -> str:
         return (

@@ -11,6 +11,9 @@ from repro.cluster.resources import (
     ResourceVector,
 )
 from repro.errors import SchedulingError
+from repro.nimbus.config import StormConfig
+from repro.nimbus.nimbus import Nimbus
+from repro.nimbus.tenancy import TenancyController, Tenant
 from repro.scheduler.quality import aggregate_node_load
 from repro.scheduler.rstorm import RStormScheduler
 from repro.topology.builder import TopologyBuilder
@@ -119,3 +122,33 @@ class TestGpuScheduling:
         topology = gpu_topology(gpu_schema)
         inference = topology.component("inference")
         assert inference.resident_memory_mb == 1024.0
+
+
+class TestGpuAdmission:
+    """Weighted-DRF admission sums each topology's demand in its own
+    schema, so a GPU topology goes through a tenancy-enabled round."""
+
+    def test_total_demand_is_the_per_component_sum(self, gpu_schema):
+        topology = gpu_topology(gpu_schema)
+        # frames 2 x (512 MB, 25 cpu), inference 2 x (1024 MB, 50 cpu,
+        # 1 gpu), sink 2 x (256 MB, 10 cpu)
+        assert topology.total_demand() == gpu_schema.vector(
+            memory_mb=3584, cpu=170, gpu=2
+        )
+
+    def test_tenancy_round_admits_and_places(self, gpu_schema, gpu_cluster):
+        nimbus = Nimbus(
+            gpu_cluster,
+            scheduler=RStormScheduler(),
+            config=StormConfig({"nimbus.tenancy.enabled": True}),
+        )
+        tenancy = TenancyController(nimbus)
+        tenancy.register_tenant(Tenant("ml"))
+        topology = gpu_topology(gpu_schema)
+        tenancy.submit(topology, "ml")
+        nimbus.schedule_round()
+        assert tenancy.round_records[-1].admitted == ("ml-pipeline",)
+        assignment = nimbus.assignments["ml-pipeline"]
+        assert assignment.is_complete(topology)
+        for task in topology.tasks_of("inference"):
+            assert assignment.node_of(task).startswith("gpu-")

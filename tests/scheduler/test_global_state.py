@@ -147,3 +147,92 @@ class TestFromAssignments:
             state.place(task, cluster.nodes[0].slots[0])
         frozen = state.assignment_for("t")
         assert frozen.is_complete(topology)
+
+
+class TestPerTopologyIndex:
+    """Per-topology queries agree with a brute-force filter over every
+    placement, through any sequence of rebuilds and (un)placements."""
+
+    @staticmethod
+    def check(state, topology_ids, slots):
+        placed = state.placed_tasks()
+        for tid in topology_ids:
+            expected = {
+                t: state.placement_of(t) for t in placed if t.topology_id == tid
+            }
+            assert state.assignment_for(tid).as_dict() == expected
+            assert state.placed_tasks(tid) == sorted(expected)
+        for slot in slots:
+            assert state.slot_users(slot) == {
+                t.topology_id for t in placed if state.placement_of(t) == slot
+            }
+
+    def test_random_operation_sequences(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.data())
+        def run(data):
+            cluster = single_rack_cluster(
+                3,
+                capacity=ResourceVector.of(
+                    memory_mb=1e6, cpu=1e6, bandwidth_mbps=1e6
+                ),
+                slots_per_node=2,
+            )
+            slots = [s for node in cluster.nodes for s in node.slots]
+            topologies = {}
+            for i in range(data.draw(st.integers(2, 4), label="topologies")):
+                builder = TopologyBuilder(f"t{i}")
+                builder.set_spout("s", data.draw(st.integers(1, 3)))
+                bolt = builder.set_bolt("b", data.draw(st.integers(1, 3)))
+                bolt.shuffle_grouping("s")
+                topologies[f"t{i}"] = builder.build()
+            tasks = [t for topo in topologies.values() for t in topo.tasks]
+            state = GlobalState(cluster)
+            for _ in range(data.draw(st.integers(1, 25), label="steps")):
+                op = data.draw(
+                    st.sampled_from(
+                        ["rebuild", "place", "unplace", "unplace_topology"]
+                    )
+                )
+                if op == "rebuild":
+                    if data.draw(st.booleans(), label="fail a node"):
+                        cluster.nodes[
+                            data.draw(st.integers(0, len(cluster.nodes) - 1))
+                        ].fail()
+                    assignments = {
+                        tid: Assignment(
+                            tid,
+                            {
+                                t: data.draw(st.sampled_from(slots))
+                                for t in data.draw(
+                                    st.lists(
+                                        st.sampled_from(topo.tasks),
+                                        unique=True,
+                                    )
+                                )
+                            },
+                        )
+                        for tid, topo in topologies.items()
+                    }
+                    state = GlobalState.from_assignments(
+                        cluster, topologies, assignments
+                    )
+                elif op == "place":
+                    unplaced = [t for t in tasks if not state.is_placed(t)]
+                    if unplaced:
+                        task = data.draw(st.sampled_from(unplaced))
+                        state.place(task, data.draw(st.sampled_from(slots)))
+                elif op == "unplace":
+                    placed = state.placed_tasks()
+                    if placed:
+                        state.unplace(data.draw(st.sampled_from(placed)))
+                else:
+                    state.unplace_topology(
+                        data.draw(st.sampled_from(sorted(topologies)))
+                    )
+                self.check(state, topologies, slots)
+
+        run()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.resources import ResourceVector
 from repro.errors import TopologyValidationError
 from repro.topology.builder import TopologyBuilder
 from repro.topology.topology import Topology
@@ -142,6 +143,16 @@ class TestResources:
         topology = builder.build()
         assert topology.total_demand().memory_mb == 300.0
         assert topology.total_demand().cpu == 30.0
+
+    def test_total_demand_matches_chained_vector_sum_bit_for_bit(self):
+        builder = TopologyBuilder("t")
+        builder.set_spout("s", 3).set_memory_load(0.1).set_cpu_load(0.7)
+        builder.set_bolt("b", 7).shuffle_grouping("s").set_cpu_load(0.3)
+        topology = builder.build()
+        chained = ResourceVector.of()
+        for task in topology.tasks:
+            chained = chained + topology.task_demand(task)
+        assert topology.total_demand().values == chained.values
 
     def test_spout_is_sink_when_no_bolts(self):
         builder = TopologyBuilder("t")
