@@ -1,12 +1,12 @@
 """Packed, flat-array view of cluster resource state.
 
-The schedulers' inner loops evaluate every alive node for every task —
-an O(tasks x nodes) search per round (the paper's Algorithm 4).  Walking
-``Node``/``ResourceVector`` objects there pays an allocation and several
-attribute/dict lookups per candidate per dimension.  A
-:class:`PackedClusterState` flattens the same information into plain
-Python lists, at most once per scheduling round: the first time a
-scheduler has a task to place, after the round's ``GlobalState``
+R-Storm's node selection (the paper's Algorithm 4) classifies and
+scores alive nodes per demand, then re-scores the one node each
+placement changes.  Walking ``Node``/``ResourceVector`` objects there
+pays an allocation and several attribute/dict lookups per node per
+dimension.  A :class:`PackedClusterState` flattens the same information
+into plain Python lists, at most once per scheduling round: the first
+time a scheduler has a task to place, after the round's ``GlobalState``
 rebuild has restored every live placement's reservation.
 
 * ``avail[d][i]`` / ``caps[d][i]`` — availability and capacity of

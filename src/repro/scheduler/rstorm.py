@@ -19,24 +19,31 @@ squared availability-demand gap simultaneously avoids both waste
 (availability far above demand) and heavy over-commit (availability far
 below demand).
 
-The hot path runs on the packed flat-array view of the cluster
-(:class:`~repro.scheduler.packed.PackedClusterState`): the per-candidate
-distance loop reads plain per-dimension float lists, weights and
-normalisation factors are hoisted once per (topology, schema), ref-node
-scores and network-distance rows are memoised per round and invalidated
-incrementally on placement, and nodes that can no longer host *any*
-pending task are pruned from the candidate list instead of being
-re-scanned per task.  The arithmetic performs bit-identical operations
+Node selection is incremental, on the packed flat-array view of the
+cluster (:class:`~repro.scheduler.packed.PackedClusterState`).  A node's
+distance depends only on its own availability and capacity, the demand
+and its network distance from the ref node, and one placement changes
+one node's availability.  So once a topology's ref node is known, each
+distinct demand tuple among its pending tasks classifies every alive
+node once (hard-infeasible, uncommitted, or over-committing), computes
+its distance once and keeps two lazy min-heaps of
+``(distance, node id, index, version)``; after each placement only the
+placed node is re-classified and re-pushed, and entries whose version is
+not the node's current one are dropped when they reach a heap's head.
+A topology costs O(distinct demands x nodes + tasks x log nodes) instead
+of O(tasks x nodes).  The arithmetic performs bit-identical operations
 in the same order as the per-vector formulation (kept as
 :meth:`RStormScheduler.distance` and verified by the differential suite
-in ``tests/scheduler/test_differential.py``), so assignments are
-byte-identical to the unpacked implementation.
+in ``tests/scheduler/test_differential.py``), and the heap order
+``(distance, node id)`` is the paper's minimum with ties broken by node
+id, so assignments are byte-identical to the unpacked implementation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -52,6 +59,9 @@ from repro.topology.task import Task
 from repro.topology.topology import Topology
 
 __all__ = ["DistanceWeights", "RStormScheduler"]
+
+#: A node-selection heap entry: ``(distance, node id, index, version)``.
+_Entry = Tuple[float, str, int, int]
 
 
 @dataclass(frozen=True)
@@ -174,7 +184,8 @@ class RStormScheduler(IScheduler):
         ref_node: Optional[Node],
         placed_this_round: List[Task],
     ) -> None:
-        """Greedy node selection over the packed cluster view."""
+        """Greedy node selection (Algorithm 4) over the packed cluster
+        view, one lazy min-heap pair per distinct demand tuple."""
         view = state.packed
         demand_of: Dict[str, ResourceVector] = {}
         for task in pending:
@@ -185,51 +196,91 @@ class RStormScheduler(IScheduler):
                 demand_of[component] = demand
 
         avail = view.avail
+        caps = view.caps
         nodes = view.nodes
+        node_ids = view.node_ids
         hard = view.hard_dims
-        num_dims = view.num_dims
-        best_effort = self.best_effort
+        dims = range(view.num_dims)
+        indices = range(len(nodes))
         prefer = self.prefer_no_overcommit
+        dim_weights = self._dim_weights(view.schema)
+        w_net = self.weights.network
+        use_net = self.use_network_distance
+        normalise = self.normalise_gaps
+        sqrt = math.sqrt
         topology_id = topology.topology_id
+        net_row: List[float] = []
+        #: Bumped on every placement; a heap entry is live only while
+        #: its version is its node's current one.
+        version = [0] * len(nodes)
+        #: demand tuple -> (uncommitted heap, over-committing heap) of
+        #: ``(distance, node id, index, version)`` entries.
+        heaps: Dict[
+            Tuple[float, ...], Tuple[List[_Entry], List[_Entry]]
+        ] = {}
 
-        # Candidate structure: alive-node indices still able to host at
-        # least one pending task.  ``floors[d]`` is the smallest demand
-        # of any pending task in hard dimension ``d``; a node below a
-        # floor is infeasible for *every* pending task, and availability
-        # only shrinks within the topology's round, so it is pruned
-        # permanently instead of being rescanned per task.
-        floors: Dict[int, float] = {
-            d: min(demand_of[t.component].values[d] for t in pending)
-            for d in hard
-        }
-        candidates = [
-            i
-            for i in range(len(nodes))
-            if all(avail[d][i] >= floors[d] for d in hard)
-        ]
+        def tier(i: int, dvals: Tuple[float, ...]) -> Optional[int]:
+            """0 if node ``i``'s availability covers the demand in every
+            dimension, 1 if only in the hard ones (or over-commit is not
+            avoided), None if it violates a hard constraint."""
+            for d in hard:
+                if avail[d][i] < dvals[d]:
+                    return None
+            if prefer:
+                for d in dims:
+                    if avail[d][i] < dvals[d]:
+                        return 1
+                return 0
+            return 1
+
+        def entry(i: int, dvals: Tuple[float, ...]) -> _Entry:
+            """The Distance procedure of Algorithm 4 for node ``i``."""
+            total = 0.0
+            for d, w in dim_weights:
+                gap = avail[d][i] - dvals[d]
+                if normalise:
+                    cap = caps[d][i]
+                    gap = gap / cap if cap > 0 else 0.0
+                total += w * gap * gap
+            if use_net:
+                total += w_net * net_row[i]
+            dist = sqrt(total if total > 0.0 else 0.0)
+            return (dist, node_ids[i], i, version[i])
 
         for task in pending:
             demand = demand_of[task.component]
             dvals = demand.values
-            # Hard-constraint filter (the paper's H_theta > H_tau guard).
-            feasible: List[int] = []
-            append = feasible.append
-            if len(hard) == 1:
-                d0 = hard[0]
-                a0 = avail[d0]
-                need0 = dvals[d0]
-                for i in candidates:
-                    if a0[i] >= need0:
-                        append(i)
+            best_i: Optional[int] = None
+            if ref_node is None:
+                pools: Tuple[List[int], List[int]] = ([], [])
+                for i in indices:
+                    level = tier(i, dvals)
+                    if level is not None:
+                        pools[level].append(i)
+                pool = pools[0] or pools[1]
+                if pool:
+                    best_i = self._find_ref_index(view, pool)
             else:
-                for i in candidates:
-                    for d in hard:
-                        if avail[d][i] < dvals[d]:
-                            break
-                    else:
-                        append(i)
-            if not feasible:
-                if best_effort:
+                pair = heaps.get(dvals)
+                if pair is None:
+                    if not net_row:
+                        net_row = view.dist_row(ref_node.node_id)
+                    pair = ([], [])
+                    for i in indices:
+                        level = tier(i, dvals)
+                        if level is not None:
+                            pair[level].append(entry(i, dvals))
+                    heapify(pair[0])
+                    heapify(pair[1])
+                    heaps[dvals] = pair
+                for heap in pair:
+                    while heap and heap[0][3] != version[heap[0][2]]:
+                        heappop(heap)
+                    if heap:
+                        best_i = heap[0][2]
+                        break
+            if best_i is None:
+                if self.best_effort:
                     continue
                 raise SchedulingError(
                     f"no feasible node for task {task} "
@@ -239,42 +290,19 @@ class RStormScheduler(IScheduler):
                         t for t in pending if not state.is_placed(t)
                     ],
                 )
-            pool = feasible
-            if prefer:
-                uncommitted: List[int] = []
-                uappend = uncommitted.append
-                for i in feasible:
-                    for d in range(num_dims):
-                        if avail[d][i] < dvals[d]:
-                            break
-                    else:
-                        uappend(i)
-                if uncommitted:
-                    pool = uncommitted
-
-            if ref_node is None:
-                best_i = self._find_ref_index(view, pool)
-                if best_i is None:
-                    # Defensive fallback (an empty alive set cannot reach
-                    # here): anchor the distance on the first feasible
-                    # node, like the unpacked formulation.
-                    best_i = self._min_distance_index(
-                        view, pool, dvals, nodes[pool[0]]
-                    )
-            else:
-                best_i = self._min_distance_index(
-                    view, pool, dvals, ref_node
-                )
             node = nodes[best_i]
             if ref_node is None:
                 ref_node = node
             slot = state.slot_for_topology_on_node(topology_id, node)
             state.place(task, slot, demand)
             placed_this_round.append(task)
-            for d in hard:
-                if avail[d][best_i] < floors[d]:
-                    candidates.remove(best_i)
-                    break
+            # Only the placed node's availability changed: re-file it
+            # under every demand tuple seen so far.
+            version[best_i] += 1
+            for dv, pair in heaps.items():
+                level = tier(best_i, dv)
+                if level is not None:
+                    heappush(pair[level], entry(best_i, dv))
 
     def _initial_ref_node(
         self, topology: Topology, cluster: Cluster, state: GlobalState
@@ -299,8 +327,9 @@ class RStormScheduler(IScheduler):
         self, schema: Optional[ResourceSchema]
     ) -> Tuple[Tuple[int, float], ...]:
         """``(dimension index, weight)`` pairs over the non-bandwidth
-        dimensions in schema order, computed once per (schema, weights)
-        instead of per candidate node per dimension."""
+        dimensions in schema order, computed once per (schema, weights).
+        The lookup hashes the schema, so callers hoist it out of their
+        per-node loops."""
         if schema is None:
             return ()
         key = (schema, self.weights)
@@ -318,55 +347,8 @@ class RStormScheduler(IScheduler):
             self._dim_weight_cache[key] = cached
         return cached
 
-    def _min_distance_index(
-        self,
-        view: PackedClusterState,
-        pool: List[int],
-        dvals: Tuple[float, ...],
-        ref_node: Node,
-    ) -> int:
-        """The Distance procedure of Algorithm 4 fused over the packed
-        candidate pool; returns the index of the distance-minimal node
-        (ties broken by node id, exactly like ``min`` over
-        ``(distance, node_id)`` keys)."""
-        avail = view.avail
-        caps = view.caps
-        node_ids = view.node_ids
-        net_row = view.dist_row(ref_node.node_id)
-        dim_weights = self._dim_weights(view.schema)
-        w_net = self.weights.network
-        use_net = self.use_network_distance
-        normalise = self.normalise_gaps
-        sqrt = math.sqrt
-
-        best_i = pool[0]
-        best_dist: Optional[float] = None
-        best_id = ""
-        for i in pool:
-            total = 0.0
-            for d, w in dim_weights:
-                gap = avail[d][i] - dvals[d]
-                if normalise:
-                    cap = caps[d][i]
-                    gap = gap / cap if cap > 0 else 0.0
-                total += w * gap * gap
-            if use_net:
-                total += w_net * net_row[i]
-            dist = sqrt(total if total > 0.0 else 0.0)
-            if (
-                best_dist is None
-                or dist < best_dist
-                or (dist == best_dist and node_ids[i] < best_id)
-            ):
-                best_dist = dist
-                best_id = node_ids[i]
-                best_i = i
-        return best_i
-
     @staticmethod
-    def _find_ref_index(
-        view: PackedClusterState, pool: List[int]
-    ) -> Optional[int]:
+    def _find_ref_index(view: PackedClusterState, pool: List[int]) -> int:
         """The paper's lines 6-9 on the packed view: the most-available
         node inside the most-available rack (restricted to the feasible
         pool).
@@ -376,28 +358,22 @@ class RStormScheduler(IScheduler):
         megabyte-dominated sum does not drown the CPU dimension, and a
         big empty machine outranks a small empty one.  Node scores are
         cached on the view and invalidated incrementally on placement.
+
+        ``pool`` is non-empty and every index in it lies in one rack
+        row: :class:`Cluster` registers a node only together with its
+        rack (``add_rack``/``add_node``) and ``remove_node`` drops it
+        from both, so the search always finds a node.
         """
-        if not view.nodes:
-            return None
         scores = view.scores
         node_ids = view.node_ids
-        pool_set = set(pool)
         racks = sorted(
             view.rack_rows,
             key=lambda row: (-sum(scores[i] for i in row[1]), row[0]),
         )
-        for _, row in racks:
-            best_i: Optional[int] = None
-            best_key: Optional[Tuple[float, str]] = None
-            for i in row:
-                if i in pool_set:
-                    key = (-scores[i], node_ids[i])
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_i = i
-            if best_i is not None:
-                return best_i
-        return None
+        rack_rank = {i: rank for rank, (_, row) in enumerate(racks) for i in row}
+        return min(
+            pool, key=lambda i: (rack_rank[i], -scores[i], node_ids[i])
+        )
 
     def distance(
         self, node: Node, demand: ResourceVector, net_distance: float
@@ -411,10 +387,10 @@ class RStormScheduler(IScheduler):
         dimension's default weight (memory/cpu weights override the
         standard dimensions).
 
-        The scheduling hot path uses :meth:`_min_distance_index`, which
-        performs these operations in the same order over the packed
-        arrays; this method remains the executable specification and the
-        two are held identical by the differential test suite.
+        The scheduling hot path (:meth:`_place_pending`) performs these
+        operations in the same order over the packed arrays; this method
+        remains the executable specification and the two are held
+        identical by the differential test suite.
 
         Args:
             node: Candidate node (already hard-constraint feasible).

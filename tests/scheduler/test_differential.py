@@ -10,6 +10,8 @@ configuration sweeps, resume-after-fault rounds, generalised schemas)
 and require exact equality of the resulting assignment maps.
 """
 
+import random
+
 import pytest
 
 from repro.cluster import Cluster, Node, Rack
@@ -25,6 +27,7 @@ from repro.cluster.resources import (
     ConstraintKind,
     ResourceDimension,
     ResourceSchema,
+    ResourceVector,
 )
 from repro.errors import SchedulingError
 from repro.scheduler.aniello import AnielloOfflineScheduler
@@ -33,7 +36,13 @@ from repro.scheduler.ordering import TaskOrderingStrategy
 from repro.scheduler.rstorm import DistanceWeights, RStormScheduler
 from repro.topology.builder import TopologyBuilder
 from repro.workloads.generator import TopologySpec, random_topology
-from repro.workloads.micro import micro_topology
+from repro.workloads.micro import (
+    diamond_topology,
+    linear_topology,
+    micro_topology,
+    star_topology,
+)
+from repro.workloads.yahoo import pageload_topology, processing_topology
 
 from tests.scheduler.reference_impls import (
     ReferenceAnielloScheduler,
@@ -279,6 +288,104 @@ class TestRStormDifferential:
             ReferenceRStormScheduler(),
         )
         assert as_map(got) == as_map(want)
+
+
+class TestLargeClusterRoundsDifferential:
+    """R-Storm against its oracle on 512 heterogeneous nodes over
+    several rounds.
+
+    Nodes are registered in shuffled id order, so index order differs
+    from node-id order and the many exact distance ties between
+    identical nodes in a rack must break by node id.  Most nodes have
+    little CPU and memory, so the nimbus-churn shapes (several
+    components per demand tuple) run the cluster out of uncommitted
+    nodes and push nodes below the memory floor within one topology.
+    Between rounds some busy nodes fail, so topologies resume from
+    their anchor.  The last round's session-joiner (1200 MB) fits no
+    node: best effort skips it, otherwise both sides raise.
+    """
+
+    CPU = (10.0,) * 10 + (15.0,) * 10 + (20.0,) * 10 + (60.0, 120.0)
+    MEMORY = (256.0,) * 4 + (512.0,) * 4 + (768.0,) * 4 + (1024.0,)
+
+    @classmethod
+    def cluster(cls):
+        rng = random.Random(512)
+        nodes = [
+            Node(
+                f"node-{r}-{k:02d}",
+                f"rack-{r}",
+                ResourceVector.of(
+                    memory_mb=rng.choice(cls.MEMORY),
+                    cpu=rng.choice(cls.CPU),
+                    bandwidth_mbps=100.0,
+                ),
+            )
+            for r in range(8)
+            for k in range(64)
+        ]
+        rng.shuffle(nodes)
+        cluster = Cluster()
+        for node in nodes:
+            cluster.add_node(node)
+        return cluster
+
+    @staticmethod
+    def rounds():
+        """``(topologies submitted, busy nodes failed before the round)``."""
+        return [
+            (
+                [
+                    linear_topology("compute", parallelism=8, name="linear"),
+                    star_topology(
+                        "compute", arms=3, arm_parallelism=4, name="star"
+                    ),
+                    diamond_topology(
+                        "compute", branches=3, parallelism=6, name="diamond"
+                    ),
+                ],
+                0,
+            ),
+            ([pageload_topology("pageload")], 6),
+            ([processing_topology("processing")], 6),
+        ]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(prefer_no_overcommit=prefer, best_effort=best_effort)
+            for prefer in (True, False)
+            for best_effort in (False, True)
+        ]
+        + [dict(normalise_gaps=False, use_network_distance=False)],
+        ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()),
+    )
+    def test_rounds_identical(self, config):
+        opt, ref = RStormScheduler(**config), ReferenceRStormScheduler(**config)
+        opt_cluster, ref_cluster = self.cluster(), self.cluster()
+        opt_out, ref_out = {}, {}
+        topologies = []
+        rounds = self.rounds()
+        for index, (new, failures) in enumerate(rounds):
+            topologies += new
+            busy = sorted(
+                {a.node_of(t) for a in opt_out.values() for t in a.tasks}
+            )
+            for node_id in random.Random(len(topologies)).sample(
+                busy, failures
+            ):
+                opt_cluster.fail_node(node_id)
+                ref_cluster.fail_node(node_id)
+            try:
+                opt_out = opt.schedule(topologies, opt_cluster, opt_out)
+            except SchedulingError:
+                # Only the session-joiner can fail; earlier rounds fit.
+                assert index == len(rounds) - 1 and not opt.best_effort
+                with pytest.raises(SchedulingError):
+                    ref.schedule(topologies, ref_cluster, ref_out)
+                return
+            ref_out = ref.schedule(topologies, ref_cluster, ref_out)
+            assert as_map(opt_out) == as_map(ref_out)
 
 
 class TestBaselineSchedulersDifferential:

@@ -98,6 +98,22 @@ class TestPackedClusterState:
                 n.node_id for n in rack.alive_nodes
             ]
 
+    def test_rack_rows_partition_alive_nodes(self):
+        # R-Storm's ref-node search relies on every alive index lying in
+        # exactly one rack row, whichever way membership changed.
+        cluster = make_cluster(racks=2, nodes_per_rack=3)
+        capacity = cluster.nodes[0].capacity
+        cluster.add_node(Node("joined-0", "rack-new", capacity))
+        cluster.add_node(Node("joined-1", "rack-0", capacity))
+        cluster.add_rack(Rack("rack-late", [Node("late-0", "rack-late", capacity)]))
+        cluster.remove_node("node-1-0")
+        cluster.fail_node("node-0-1")
+        cluster.fail_node("joined-0")
+        cluster.recover_node("joined-0")
+        view = PackedClusterState(cluster)
+        rows = [i for _, row in view.rack_rows for i in row]
+        assert sorted(rows) == list(range(len(view.nodes)))
+
     def test_dist_row_matches_cluster_distance(self):
         cluster = make_cluster()
         view = PackedClusterState(cluster)
