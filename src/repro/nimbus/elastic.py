@@ -320,16 +320,18 @@ class ElasticController:
         new_topology = topology.with_parallelism(component, required)
         if required > current:
             # Scale-up: the active scheduler places just the delta —
-            # existing placements survive, quarantined nodes are masked
-            # and dead-node reservations released exactly as in
-            # Nimbus.schedule_round.  Only this topology is scheduled:
-            # tasks other topologies lost to a dead node are Nimbus's to
-            # re-place, and a placement made here would be discarded with
-            # its reservation still held.
+            # existing placements survive and quarantined nodes are
+            # masked, as in Nimbus.schedule_round.  Only this topology is
+            # scheduled, so only its dead-node reservations are released,
+            # and only once its new assignment is adopted: tasks other
+            # topologies lost to a dead node are Nimbus's to re-place, and
+            # a placement made here would be discarded with its
+            # reservation still held.
             masked = nimbus._mask_quarantined()
             try:
+                live = nimbus._live_assignments()
                 round_info = nimbus.scheduler.run(
-                    [new_topology], nimbus.cluster, nimbus._live_assignments()
+                    [new_topology], nimbus.cluster, live
                 )
             except SchedulingError as err:
                 self.actions_failed.append(
@@ -339,6 +341,7 @@ class ElasticController:
             finally:
                 for node in masked:
                     node.recover()
+            nimbus._release_dropped(live, [topology_id])
             new_assignment = round_info.assignments[topology_id]
         else:
             # Scale-down needs no scheduler: keep surviving placements,

@@ -6,14 +6,18 @@ membership changes observed through ZooKeeper, and — when attached to a
 :class:`~repro.simulation.runtime.SimulationRun` — migrates running tasks
 onto new assignments after failures.
 
-Nimbus is stateless with respect to the scheduler: every round the
-scheduler rebuilds whatever it needs from the cluster and the live
-assignments, exactly as the paper describes.
+Nimbus is stateless with respect to the scheduler: every round hands
+the scheduler the cluster and the live assignments, exactly as the paper
+describes.  What persists between rounds is only :attr:`Nimbus.assignments`
+and the reservations on the nodes.  As in Storm, a round schedules only
+the topologies whose assignment is incomplete (new ones, or ones with
+tasks on dead or quarantined nodes); every other topology keeps its
+assignment object, so a round costs what changed, not the cluster size.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
@@ -89,9 +93,19 @@ class Nimbus:
         if topology is None:
             raise SchedulingError(f"no topology {topology_id!r} submitted")
         self._submission_order.remove(topology_id)
-        self.assignments.pop(topology_id, None)
+        assignment = self.assignments.pop(topology_id, None)
+        if assignment is None:
+            return
+        # A topology's reservations sit only on its assignment's nodes: a
+        # failed round rolls its own back, and a dropped placement keeps
+        # its reservation until the assignment re-placing it is adopted.
+        # Each node releases them in its reservation order, so its
+        # availability sums up as before.
         prefix = f"{topology_id}:"
-        for node in self.cluster.nodes:
+        for node_id in assignment.node_set:
+            if not self.cluster.has_node(node_id):
+                continue
+            node = self.cluster.node(node_id)
             for label in list(node.reservations):
                 if label.startswith(prefix):
                     node.release(label)
@@ -148,30 +162,52 @@ class Nimbus:
 
     def _live_assignments(self) -> Dict[str, Assignment]:
         """Existing assignments restricted to alive nodes — dead-node
-        placements are dropped so the scheduler re-places those tasks and
-        their stale reservations are released.
+        placements are dropped so the scheduler re-places those tasks.
 
-        An assignment with no slot on a dead node passes through as the
-        same object.  The liveness test reads slot node ids, never
-        ``Assignment.nodes``: that would build the lazy per-node index on
-        every assignment ``rounds`` retains.
+        Their reservations stay on the nodes: :meth:`_release_dropped`
+        releases them only once a result that re-places the tasks is
+        adopted.  If the round fails instead, the placements stand as
+        they were, reservations included, so a node that comes back
+        before the next round leaves the topology complete and its
+        placements reserved — a round never has to restore a complete
+        topology's reservations.
+
+        Only an assignment with a slot on a dead node is copied; every
+        other one passes through as the same object, after a subset test
+        on its cached node set (never ``Assignment.nodes``: that would
+        build the lazy per-node index on every assignment ``rounds``
+        retains).
         """
         alive = {n.node_id for n in self.cluster.alive_nodes}
         live: Dict[str, Assignment] = {}
         for topo_id, assignment in self.assignments.items():
             if topo_id not in self._topologies:
                 continue
-            surviving = assignment.restricted_to_nodes(alive)
-            if surviving is not assignment:
-                dropped = set(assignment.tasks) - set(surviving.tasks)
-                for task in dropped:
-                    node_id = assignment.node_of(task)
-                    if self.cluster.has_node(node_id):
-                        node = self.cluster.node(node_id)
-                        if task_label(task) in node.reservations:
-                            node.release(task_label(task))
-            live[topo_id] = surviving
+            if not assignment.node_set <= alive:
+                assignment = assignment.restricted_to_nodes(alive)
+            live[topo_id] = assignment
         return live
+
+    def _release_dropped(
+        self, live: Mapping[str, Assignment], adopted: Iterable[str]
+    ) -> None:
+        """Release the reservations of the placements ``live`` (from
+        :meth:`_live_assignments`) dropped for the ``adopted`` topologies,
+        whose new assignments re-place those tasks.  Call it before the
+        new assignments replace the old ones."""
+        for topo_id in adopted:
+            old = self.assignments.get(topo_id)
+            surviving = live.get(topo_id)
+            if old is None or surviving is None or surviving is old:
+                continue
+            for task in old.tasks:
+                if surviving.has(task):
+                    continue
+                node_id = old.node_of(task)
+                if self.cluster.has_node(node_id):
+                    node = self.cluster.node(node_id)
+                    if node.has_reservation(task_label(task)):
+                        node.release(task_label(task))
 
     def _update_quarantine(self, now: float) -> None:
         """Track per-node flaps and quarantine repeat offenders.
@@ -231,7 +267,9 @@ class Nimbus:
         nodes are masked dead for the duration of the scheduler call.
         Because schedulers keep the surviving ``existing`` placements and
         only re-place dropped tasks, the resulting migration is
-        *partial*: only tasks from dead or quarantined nodes move.
+        *partial*: only tasks from dead or quarantined nodes move.  The
+        dropped placements' reservations are released only once the
+        round succeeds and its result is adopted.
         """
         self.reconcile_membership()
         if self.config.quarantine_enabled:
@@ -250,6 +288,7 @@ class Nimbus:
         finally:
             for node in masked:
                 node.recover()
+        self._release_dropped(existing, round_info.assignments)
         self.assignments.update(round_info.assignments)
         self.rounds.append(round_info)
         return round_info

@@ -5,16 +5,18 @@ complete mapping from every task to a worker slot.  Assignments are
 immutable value objects; the mutable bookkeeping used *while* scheduling
 lives in :class:`~repro.scheduler.global_state.GlobalState`.
 
-Schedulers construct an ``Assignment`` per topology per round, but most
-rounds only ever look up ``slot_of``/``tasks`` — the per-slot and
-per-node indexes are needed by quality metrics and the rebalancer, not
-by the scheduling hot path.  They are therefore built lazily on first
-use; construction only validates ownership and copies the mapping.
+Schedulers construct an ``Assignment`` only for a topology they place
+tasks for; a complete one passes from round to round as the same object.
+Most rounds only ever look up ``slot_of``/``tasks`` and the set of nodes
+in use — the per-slot and per-node task indexes are needed by quality
+metrics and the rebalancer, not by the scheduling hot path.  All of them
+are therefore built lazily on first use; construction only validates
+ownership and copies the mapping.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cluster.node import WorkerSlot
 from repro.errors import SchedulingError
@@ -33,6 +35,8 @@ class Assignment:
         "_tasks_by_slot",
         "_tasks_by_node",
         "_sorted_tasks",
+        "_slot_set",
+        "_node_set",
     )
 
     def __init__(self, topology_id: str, mapping: Mapping[Task, WorkerSlot]):
@@ -46,6 +50,8 @@ class Assignment:
         self._tasks_by_slot: Optional[Dict[WorkerSlot, Tuple[Task, ...]]] = None
         self._tasks_by_node: Optional[Dict[str, Tuple[Task, ...]]] = None
         self._sorted_tasks: Optional[Tuple[Task, ...]] = None
+        self._slot_set: Optional[FrozenSet[WorkerSlot]] = None
+        self._node_set: Optional[FrozenSet[str]] = None
 
     def _by_slot(self) -> Dict[WorkerSlot, Tuple[Task, ...]]:
         if self._tasks_by_slot is None:
@@ -98,6 +104,21 @@ class Assignment:
     def nodes(self) -> Tuple[str, ...]:
         return tuple(sorted(self._by_node()))
 
+    @property
+    def slot_set(self) -> FrozenSet[WorkerSlot]:
+        """The worker slots in use, unordered; cheaper than
+        :attr:`slots`, which builds the per-slot task index."""
+        if self._slot_set is None:
+            self._slot_set = frozenset(self._slot_of.values())
+        return self._slot_set
+
+    @property
+    def node_set(self) -> FrozenSet[str]:
+        """The ids of the nodes in use, unordered (see :attr:`slot_set`)."""
+        if self._node_set is None:
+            self._node_set = frozenset(slot.node_id for slot in self.slot_set)
+        return self._node_set
+
     def tasks_on_slot(self, slot: WorkerSlot) -> Tuple[Task, ...]:
         return self._by_slot().get(slot, ())
 
@@ -122,7 +143,7 @@ class Assignment:
         after node failures: keep what survived, reschedule the rest).
         Returns ``self``, uncopied, when every slot is on one of them."""
         keep = set(node_ids)
-        if all(slot.node_id in keep for slot in self._slot_of.values()):
+        if self.node_set <= keep:
             return self
         return Assignment(
             self.topology_id,
@@ -144,6 +165,8 @@ class Assignment:
         return len(self._slot_of)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Assignment):
             return NotImplemented
         return (

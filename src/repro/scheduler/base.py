@@ -3,9 +3,14 @@
 Mirrors Storm's ``IScheduler`` contract (paper Section 5): Nimbus invokes
 the configured scheduler periodically with the set of topologies and the
 current cluster; the scheduler returns a complete task -> worker-slot
-assignment per topology.  Schedulers are stateless across invocations —
-anything they need is rebuilt from the cluster and the live assignments
-(see :class:`~repro.scheduler.global_state.GlobalState`).
+assignment per topology.  As in Storm, which hands schedulers
+``cluster.needsSchedulingTopologies()``, a round works only on the
+topologies whose assignment is incomplete (:func:`needs_scheduling`);
+every other topology keeps its assignment, returned as the same object.
+Schedulers are stateless across invocations — what they need is read
+from the cluster (whose nodes keep their reservations between rounds)
+and the live assignments (see
+:class:`~repro.scheduler.global_state.GlobalState`).
 """
 
 from __future__ import annotations
@@ -19,7 +24,38 @@ from repro.cluster.cluster import Cluster
 from repro.scheduler.assignment import Assignment
 from repro.topology.topology import Topology
 
-__all__ = ["IScheduler", "SchedulingRound"]
+__all__ = ["IScheduler", "SchedulingRound", "needs_scheduling"]
+
+
+def needs_scheduling(
+    topologies: Sequence[Topology],
+    cluster: Cluster,
+    existing: Optional[Mapping[str, Assignment]],
+) -> Dict[str, Topology]:
+    """The topologies a round must schedule, by id in submission order.
+
+    A topology needs scheduling if it has no assignment in ``existing``,
+    its assignment holds a different number of tasks than the topology
+    (missing tasks, or tasks of a rescaled-away component), or one of its
+    slots is on a node that is not alive.  Every other topology's
+    assignment is complete and stays exactly as it is.
+
+    With no ``existing`` assignments every topology needs scheduling,
+    and the alive-node set is never built.
+    """
+    if not existing:
+        return {t.topology_id: t for t in topologies}
+    alive = {node.node_id for node in cluster.alive_nodes}
+    needs: Dict[str, Topology] = {}
+    for topology in topologies:
+        assignment = existing.get(topology.topology_id)
+        if (
+            assignment is None
+            or len(assignment) != topology.num_tasks
+            or not assignment.node_set <= alive
+        ):
+            needs[topology.topology_id] = topology
+    return needs
 
 
 @dataclass
@@ -70,7 +106,10 @@ class IScheduler(abc.ABC):
                 untouched.
             existing: Live assignments from previous rounds.  Tasks whose
                 placements survive (their node is still alive) must keep
-                them; only missing/orphaned tasks get new placements.
+                them; only missing/orphaned tasks get new placements.  A
+                topology that does not :func:`need scheduling
+                <needs_scheduling>` keeps its ``existing`` assignment, and
+                the scheduler returns that same object.
 
         Returns:
             topology id -> complete :class:`Assignment`.
@@ -94,7 +133,7 @@ class IScheduler(abc.ABC):
         for topo in topologies:
             before = existing.get(topo.topology_id) if existing else None
             after = assignments.get(topo.topology_id)
-            if after is None:
+            if after is None or after is before:
                 newly[topo.topology_id] = 0
                 continue
             if before is None:

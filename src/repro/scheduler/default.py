@@ -99,7 +99,7 @@ class DefaultScheduler(IScheduler):
         cluster: Cluster,
         existing: Optional[Mapping[str, Assignment]] = None,
     ) -> Dict[str, Assignment]:
-        existing = dict(existing or {})
+        existing = existing or {}
         slots = interleaved_slots(cluster)
         if not slots:
             raise SchedulingError(
@@ -121,9 +121,14 @@ class DefaultScheduler(IScheduler):
                         surviving[task] = slot
             missing = [t for t in topology.tasks if t not in surviving]
             if not missing:
-                result[topology.topology_id] = Assignment(
-                    topology.topology_id, surviving
-                )
+                # Complete: an assignment with every slot alive passes
+                # through as the same object.
+                if prior is not None and len(surviving) == len(prior):
+                    result[topology.topology_id] = prior
+                else:
+                    result[topology.topology_id] = Assignment(
+                        topology.topology_id, surviving
+                    )
                 continue
             num_workers = self.workers_per_topology or len(cluster.alive_nodes)
             num_workers = max(1, min(num_workers, len(slots)))

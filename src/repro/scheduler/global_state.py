@@ -4,16 +4,20 @@ Nimbus is stateless across scheduler invocations, so R-Storm rebuilds a
 ``GlobalState`` from the cluster and the currently-live assignments on
 every scheduling round.  It tracks:
 
-* where every task of every topology is placed, globally and per
-  topology,
+* where every task of the topologies being scheduled is placed,
+  globally and per topology,
 * the resource reservations those placements imply on each node, and
 * which worker slots are occupied by which topologies.
 
-Node reservations outlive the round (they sit on the cluster's nodes),
-so the rebuild only reserves for a live task whose node lacks its
-reservation; a steady-state rebuild is one pass over the live
-placements.  Per-topology queries and updates cost that topology's
-tasks, never all live placements.
+A round schedules only the topologies that need it (see
+:func:`~repro.scheduler.base.needs_scheduling`), so only their
+placements are indexed; every other live assignment contributes just
+the slots it occupies, which slot selection shares out.  Node
+reservations outlive the round (they sit on the cluster's nodes), so the
+rebuild only reserves for a placement of a scheduled topology whose node
+lacks its reservation.  A round's rebuild therefore costs the tasks of
+the topologies it schedules plus one slot per other worker, never all
+live placements.
 
 All mutation of node availability during scheduling goes through this
 class so a scheduling round can be reconciled or replayed atomically.
@@ -69,17 +73,16 @@ class GlobalState:
         cluster: Cluster,
         topologies: Mapping[str, Topology],
         assignments: Mapping[str, Assignment],
-        reserve: bool = True,
     ) -> "GlobalState":
         """Rebuild state from live assignments (the stateless-Nimbus
         path).  Placements on dead nodes are dropped — those tasks are the
         ones a new scheduling round must place again.
 
-        Args:
-            reserve: reserve the demand of every live placement whose
-                node lacks its reservation (True for resource-aware
-                scheduling rounds).  Reservations stay on the nodes
-                between rounds, so in steady state this reserves nothing.
+        Only the assignments of ``topologies`` (the topologies being
+        scheduled) are indexed, and a placement of theirs whose node
+        lacks its reservation is reserved again.  Every other assignment
+        contributes only its slots on alive nodes to the slot users.
+        Given every live topology, this is the full rebuild.
         """
         state = cls(cluster)
         placements = state._placements
@@ -88,6 +91,11 @@ class GlobalState:
         for topo_id, assignment in assignments.items():
             topology = topologies.get(topo_id)
             owner = assignment.topology_id
+            if topology is None:
+                for slot in assignment.slot_set:
+                    if slot.node_id in alive:
+                        slot_users.setdefault(slot, set()).add(owner)
+                continue
             placed = state._by_topology.setdefault(owner, {})
             for task in assignment.tasks:
                 slot = assignment.slot_of(task)
@@ -95,11 +103,7 @@ class GlobalState:
                 if node is None:
                     continue
                 label = task_label(task)
-                if (
-                    reserve
-                    and topology is not None
-                    and not node.has_reservation(label)
-                ):
+                if not node.has_reservation(label):
                     try:
                         node.reserve(label, topology.task_demand(task))
                     except InsufficientResourcesError:

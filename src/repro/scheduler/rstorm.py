@@ -51,7 +51,7 @@ from repro.cluster.node import Node
 from repro.cluster.resources import BANDWIDTH, ResourceSchema, ResourceVector
 from repro.errors import SchedulingError
 from repro.scheduler.assignment import Assignment
-from repro.scheduler.base import IScheduler
+from repro.scheduler.base import IScheduler, needs_scheduling
 from repro.scheduler.global_state import GlobalState
 from repro.scheduler.ordering import TaskOrderingStrategy, ordered_tasks
 from repro.scheduler.packed import PackedClusterState
@@ -140,41 +140,52 @@ class RStormScheduler(IScheduler):
         cluster: Cluster,
         existing: Optional[Mapping[str, Assignment]] = None,
     ) -> Dict[str, Assignment]:
-        topo_by_id = {t.topology_id: t for t in topologies}
-        state = GlobalState.from_assignments(
-            cluster, topo_by_id, existing or {}, reserve=True
-        )
+        existing = existing or {}
+        needs = needs_scheduling(topologies, cluster, existing)
+        state = GlobalState.from_assignments(cluster, needs, existing)
         result: Dict[str, Assignment] = {}
-        for topology in topologies:
-            self._schedule_topology(topology, cluster, state)
-            result[topology.topology_id] = state.assignment_for(
-                topology.topology_id
-            )
+        placed: List[Task] = []
+        try:
+            for topology in topologies:
+                topology_id = topology.topology_id
+                if topology_id not in needs:
+                    result[topology_id] = existing[topology_id]
+                    continue
+                placed += self._schedule_topology(topology, cluster, state)
+                result[topology_id] = state.assignment_for(topology_id)
+        except SchedulingError:
+            # The failing topology has undone its own placements.  Nimbus
+            # adopts nothing from a failed round, so undo the earlier
+            # topologies' too, or their reservations would outlive it.
+            for task in placed:
+                state.unplace(task)
+            raise
         return result
 
     # -- per-topology scheduling ----------------------------------------------
 
     def _schedule_topology(
         self, topology: Topology, cluster: Cluster, state: GlobalState
-    ) -> None:
+    ) -> List[Task]:
+        """Place ``topology``'s unplaced tasks and return them."""
         pending = [
             task
             for task in ordered_tasks(topology, self.ordering)
             if not state.is_placed(task)
         ]
         if not pending:
-            return
+            return []
         ref_node = self._initial_ref_node(topology, cluster, state)
-        placed_this_round: List[Task] = []
+        placed: List[Task] = []
         try:
-            self._place_pending(topology, state, pending, ref_node,
-                                placed_this_round)
+            self._place_pending(topology, state, pending, ref_node, placed)
         except SchedulingError:
             # Assignment is atomic per topology (paper Section 4.1): undo
             # this topology's partial placements before propagating.
-            for task in placed_this_round:
+            for task in placed:
                 state.unplace(task)
             raise
+        return placed
 
     def _place_pending(
         self,
@@ -182,7 +193,7 @@ class RStormScheduler(IScheduler):
         state: GlobalState,
         pending: List[Task],
         ref_node: Optional[Node],
-        placed_this_round: List[Task],
+        placed: List[Task],
     ) -> None:
         """Greedy node selection (Algorithm 4) over the packed cluster
         view, one lazy min-heap pair per distinct demand tuple."""
@@ -295,7 +306,7 @@ class RStormScheduler(IScheduler):
                 ref_node = node
             slot = state.slot_for_topology_on_node(topology_id, node)
             state.place(task, slot, demand)
-            placed_this_round.append(task)
+            placed.append(task)
             # Only the placed node's availability changed: re-file it
             # under every demand tuple seen so far.
             version[best_i] += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.errors import TopologyValidationError
-from repro.topology.component import Bolt, ExecutionProfile, Spout
+from repro.topology.component import Bolt, Component, ExecutionProfile, Spout
 from repro.topology.grouping import (
     AllGrouping,
     FieldsGrouping,
@@ -118,7 +118,7 @@ class TopologyBuilder:
         if not topology_id:
             raise TopologyValidationError("topology id must be non-empty")
         self.topology_id = topology_id
-        self._components: Dict[str, object] = {}
+        self._components: Dict[str, Component] = {}
 
     def _check_fresh(self, name: str) -> None:
         if name in self._components:
@@ -152,5 +152,10 @@ class TopologyBuilder:
         return BoltDeclarer(bolt)
 
     def build(self) -> Topology:
-        """Validate and freeze the declared graph."""
-        return Topology(self.topology_id, self._components)
+        """Validate and freeze the declared graph.  The topology holds
+        copies of the declared components, so later changes through this
+        builder or its declarers never reach it."""
+        return Topology(
+            self.topology_id,
+            {name: comp.clone() for name, comp in self._components.items()},
+        )

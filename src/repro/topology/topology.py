@@ -1,7 +1,8 @@
 """The validated topology DAG and its task expansion.
 
-A :class:`Topology` is an immutable, validated view of the components a
-:class:`~repro.topology.builder.TopologyBuilder` declared: the component
+A :class:`Topology` is an immutable, validated snapshot of the components
+a :class:`~repro.topology.builder.TopologyBuilder` declared (it holds
+copies, so later changes to the builder never reach it): the component
 graph, its expansion into tasks, adjacency queries used by the BFS task
 ordering (Algorithm 2/3), and aggregate resource demands used by the
 scheduler.
@@ -51,6 +52,7 @@ class Topology:
                 t for t in self._tasks if t.component == name
             )
         self._downstream: Dict[str, Tuple[str, ...]] = self._build_downstream()
+        self._total_demand: Optional[ResourceVector] = None
 
     # -- validation --------------------------------------------------------
 
@@ -284,17 +286,19 @@ class Topology:
         """Sum of declared demand over all tasks, in the tasks' schema
         (the Storm schema's zero for a topology with no tasks).
 
-        Admission sums every running topology every round, so this folds
-        into one list of floats instead of a vector per task.  It adds
-        task by task in task order (tasks are grouped by component) and
-        dimension by dimension from ``schema.zero()``: the additions
-        chaining ``ResourceVector.__add__`` makes, so the sums are
-        bit-identical to it.
+        Computed once: admission sums every running topology every
+        round, and a topology's components never change after it is
+        built.  It adds task by task in task order (tasks are grouped by
+        component) and dimension by dimension from ``schema.zero()``: the
+        additions chaining ``ResourceVector.__add__`` makes, so the sums
+        are bit-identical to it.
 
         Raises:
             SchemaMismatchError: if components declare demands in
                 different schemas.
         """
+        if self._total_demand is not None:
+            return self._total_demand
         schema = None
         totals: List[float] = []
         for name, tasks in self._tasks_by_component.items():
@@ -311,9 +315,12 @@ class Topology:
             for _ in tasks:
                 for d, value in values:
                     totals[d] += value
-        if schema is None:
-            return ResourceVector.of()
-        return ResourceVector(schema, totals)
+        self._total_demand = (
+            ResourceVector.of()
+            if schema is None
+            else ResourceVector(schema, totals)
+        )
+        return self._total_demand
 
     def __repr__(self) -> str:
         return (

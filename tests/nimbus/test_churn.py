@@ -2,14 +2,17 @@
 
 A seeded stream kills and submits topologies on a 64-node, two-rack
 cluster filled to its admission limit, so weighted-DRF admission admits,
-defers and evicts.  Every round rebuilds ``GlobalState`` from the live
-assignments and the reservations the nodes kept from the round before,
-so the round's bookkeeping is checked after each one: a node's
-reservations are exactly the demands placed on it, and every admitted
-topology is fully placed.  The final placements and admission records
-are pinned by digest, so any change to the rebuild, the per-topology
-placement index or the admission demand sums that moves a single task
-or decision fails here.
+defers and evicts.  A round schedules only the topologies that need it
+and trusts the reservations the nodes kept from the round before, so the
+round's bookkeeping is checked after each one against the from-scratch
+rebuild: a node's reservations are exactly the demands placed on it (so
+every reservation belongs to a live placement), a full
+``GlobalState.from_assignments`` over every live topology reserves
+nothing, every admitted topology is fully placed, and a killed
+topology's reservations are all gone.  The final placements and
+admission records are pinned by digest, so any change to the rebuild,
+the per-topology placement index or the admission demand sums that
+moves a single task or decision fails here.
 """
 
 import hashlib
@@ -21,6 +24,7 @@ from repro.cluster.resources import ResourceVector
 from repro.nimbus.config import StormConfig
 from repro.nimbus.nimbus import Nimbus
 from repro.nimbus.tenancy import TenancyController, Tenant
+from repro.scheduler.global_state import GlobalState
 from repro.scheduler.rstorm import RStormScheduler
 from repro.topology.task import task_label
 from repro.workloads.micro import (
@@ -59,7 +63,23 @@ def churn_topology(rng, count):
     )
 
 
+def check_killed(nimbus, topology_id):
+    prefix = f"{topology_id}:"
+    for node in nimbus.cluster.nodes:
+        assert not any(
+            label.startswith(prefix) for label in node.reservations
+        ), (topology_id, node.node_id)
+
+
 def check_round(nimbus):
+    reserved = {node.node_id: node.reservations for node in nimbus.cluster.nodes}
+    GlobalState.from_assignments(
+        nimbus.cluster,
+        {t.topology_id: t for t in nimbus.topologies},
+        nimbus.assignments,
+    )
+    for node in nimbus.cluster.nodes:
+        assert node.reservations == reserved[node.node_id], node.node_id
     placed = {}
     for topology in nimbus.topologies:
         assignment = nimbus.assignments.get(topology.topology_id)
@@ -117,6 +137,7 @@ def test_churn_rounds_keep_reservations_and_outputs():
         live = sorted(nimbus.assignments)
         for topology_id in rng.sample(live, min(CHURN, len(live))):
             nimbus.kill_topology(topology_id)
+            check_killed(nimbus, topology_id)
         submit(CHURN)
         nimbus.schedule_round(now)
         check_round(nimbus)

@@ -3,11 +3,16 @@
 import pytest
 
 from repro.cluster import emulab_testbed
+from repro.cluster.builders import uniform_cluster
+from repro.cluster.resources import ResourceVector
 from repro.errors import MembershipError, SchedulingError
+from repro.nimbus.config import StormConfig
+from repro.nimbus.elastic import ElasticController
 from repro.nimbus.nimbus import Nimbus
 from repro.nimbus.supervisor import Supervisor
 from repro.nimbus.zookeeper import InMemoryZooKeeper
 from repro.scheduler.rstorm import RStormScheduler
+from repro.topology.task import task_label
 from tests.conftest import make_linear
 
 
@@ -144,3 +149,114 @@ class TestFailureRecovery:
         supervisors[victim].crash()
         nimbus.schedule_round()
         assert cluster.node(victim).reservations == {}
+
+
+class TestFailedRound:
+    def test_failed_round_leaves_no_reservations(self):
+        """Topology "a" fits, "b" fits no node: the round raises, and
+        must not leave "a"'s reservations behind, or the round after
+        "b" is killed would reserve "a"'s tasks a second time."""
+        cluster = small_cluster()
+        nimbus = Nimbus(cluster, scheduler=RStormScheduler())
+        a = make_linear("a", parallelism=4, stages=2)
+        nimbus.submit_topology(a)
+        nimbus.submit_topology(make_linear("b", memory_mb=99_999.0))
+        with pytest.raises(SchedulingError):
+            nimbus.schedule_round()
+        assert nimbus.assignments == {}
+        assert all(not node.reservations for node in cluster.nodes)
+        nimbus.kill_topology("b")
+        nimbus.schedule_round()
+        assignment = nimbus.assignments["a"]
+        assert assignment.is_complete(a)
+        reserved = [
+            (node.node_id, label)
+            for node in cluster.nodes
+            for label in node.reservations
+        ]
+        assert sorted(reserved) == sorted(
+            (assignment.node_of(task), task_label(task)) for task in a.tasks
+        )
+
+
+def small_cluster():
+    return uniform_cluster(
+        nodes_per_rack=2,
+        racks=2,
+        capacity=ResourceVector.of(
+            memory_mb=4096.0, cpu=400.0, bandwidth_mbps=100.0
+        ),
+    )
+
+
+def assert_reservations_match(cluster, nimbus):
+    """Every node holds exactly the reservations of its placements."""
+    for node in cluster.nodes:
+        placed = sorted(
+            task_label(task)
+            for assignment in nimbus.assignments.values()
+            for task in assignment.tasks
+            if assignment.node_of(task) == node.node_id
+        )
+        assert sorted(node.reservations) == placed, node.node_id
+
+
+class TestDroppedPlacementsKeepReservations:
+    """A placement on a dead or quarantined node keeps its reservation
+    until a result that re-places the task is adopted.  Here the node
+    comes back after a failed scheduling attempt, so the topology is
+    complete again and its next round passes it through untouched: the
+    node must still hold every reservation its placements imply."""
+
+    @staticmethod
+    def placed(config=None):
+        cluster = small_cluster()
+        nimbus = Nimbus(cluster, scheduler=RStormScheduler(), config=config)
+        nimbus.submit_topology(make_linear("a", parallelism=4, stages=2))
+        nimbus.schedule_round(0.0)
+        assignment = nimbus.assignments["a"]
+        return cluster, nimbus, assignment, cluster.node(assignment.nodes[0])
+
+    @staticmethod
+    def fail_round(nimbus, now):
+        nimbus.submit_topology(make_linear("b", memory_mb=99_999.0))
+        with pytest.raises(SchedulingError):
+            nimbus.schedule_round(now)
+        nimbus.kill_topology("b")
+
+    def test_crash_failed_round_rejoin(self):
+        cluster, nimbus, before, victim = self.placed()
+        victim.fail()
+        self.fail_round(nimbus, 10.0)
+        victim.recover()
+        nimbus.schedule_round(20.0)
+        assert nimbus.assignments["a"] is before
+        assert_reservations_match(cluster, nimbus)
+
+    def test_quarantine_failed_round_expiry(self):
+        cluster, nimbus, before, victim = self.placed(
+            StormConfig({"nimbus.quarantine.enabled": True})
+        )
+        # Quarantined while alive: masked dead for the failed round.
+        nimbus.quarantined[victim.node_id] = 30.0
+        self.fail_round(nimbus, 10.0)
+        assert victim.alive
+        nimbus.schedule_round(40.0)
+        assert victim.node_id not in nimbus.quarantined
+        assert nimbus.assignments["a"] is before
+        assert_reservations_match(cluster, nimbus)
+
+    def test_crash_failed_scale_up_rejoin(self):
+        cluster, nimbus, before, victim = self.placed()
+        controller = ElasticController(nimbus)
+        victim.fail()
+        # 60 more 256 MB tasks fit no 3 surviving 4 GB nodes; a refused
+        # scale-up returns before it touches the simulation run.
+        assert not controller._commit_scale(
+            None, "a", "stage-1", 64, 0.0, 0, 10.0
+        )
+        assert controller.actions_failed
+        victim.recover()
+        nimbus.schedule_round(20.0)
+        assert nimbus.assignments["a"] is before
+        assert_reservations_match(cluster, nimbus)

@@ -3,9 +3,14 @@
 import pytest
 
 from repro.cluster import emulab_testbed
-from repro.scheduler.base import IScheduler, SchedulingRound
+from repro.scheduler.aniello import AnielloOfflineScheduler
+from repro.scheduler.assignment import Assignment
+from repro.scheduler.base import IScheduler, SchedulingRound, needs_scheduling
+from repro.scheduler.default import DefaultScheduler
 from repro.scheduler.rstorm import RStormScheduler
 from tests.conftest import make_linear
+
+SCHEDULERS = [RStormScheduler, DefaultScheduler, AnielloOfflineScheduler]
 
 
 class TestRunWrapper:
@@ -42,3 +47,45 @@ class TestRunWrapper:
             [make_linear(parallelism=1, stages=2)], cluster
         )
         assert "r-storm" in repr(round_info)
+
+
+class TestNeedsScheduling:
+    def test_without_existing_every_topology_needs_scheduling(self):
+        cluster = emulab_testbed()
+        topologies = [make_linear("a"), make_linear("b")]
+        assert list(needs_scheduling(topologies, cluster, None)) == ["a", "b"]
+        assert list(needs_scheduling(topologies, cluster, {})) == ["a", "b"]
+
+    def test_complete_assignment_on_alive_nodes_does_not(self):
+        cluster = emulab_testbed()
+        a, b = make_linear("a"), make_linear("b")
+        existing = RStormScheduler().schedule([a], cluster)
+        assert list(needs_scheduling([a, b], cluster, existing)) == ["b"]
+
+    def test_missing_task_or_dead_node_does(self):
+        cluster = emulab_testbed()
+        a, b = make_linear("a"), make_linear("b")
+        existing = RStormScheduler().schedule([a, b], cluster)
+        partial = existing["a"].as_dict()
+        del partial[a.tasks[0]]
+        existing["a"] = Assignment("a", partial)
+        cluster.fail_node(existing["b"].nodes[0])
+        assert list(needs_scheduling([a, b], cluster, existing)) == ["a", "b"]
+
+
+class TestCompleteAssignmentsPassThrough:
+    @pytest.mark.parametrize("scheduler_cls", SCHEDULERS, ids=lambda c: c.name)
+    def test_same_object_and_nothing_new(self, scheduler_cls):
+        cluster = emulab_testbed()
+        a, b = make_linear("a"), make_linear("b", parallelism=3)
+        scheduler = scheduler_cls()
+        first = scheduler.run([a], cluster)
+        second = scheduler.run([a, b], cluster, first.assignments)
+        assert second.assignments["a"] is first.assignments["a"]
+        assert second.newly_scheduled == {"a": 0, "b": b.num_tasks}
+        available = {n.node_id: n.available for n in cluster.nodes}
+        third = scheduler.run([a, b], cluster, second.assignments)
+        for tid in ("a", "b"):
+            assert third.assignments[tid] is second.assignments[tid]
+        assert third.newly_scheduled == {"a": 0, "b": 0}
+        assert {n.node_id: n.available for n in cluster.nodes} == available

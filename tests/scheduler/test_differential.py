@@ -303,6 +303,12 @@ class TestLargeClusterRoundsDifferential:
     Between rounds some busy nodes fail, so topologies resume from
     their anchor.  The last round's session-joiner (1200 MB) fits no
     node: best effort skips it, otherwise both sides raise.
+
+    A second sequence inserts two rounds before the last.  One kills a
+    topology, releasing its reservations on both clusters, so the next
+    placements use the freed capacity.  In the other nothing changes:
+    every complete assignment must come back as the same object, with
+    node availability untouched.
     """
 
     CPU = (10.0,) * 10 + (15.0,) * 10 + (20.0,) * 10 + (60.0, 120.0)
@@ -331,8 +337,11 @@ class TestLargeClusterRoundsDifferential:
         return cluster
 
     @staticmethod
-    def rounds():
-        """``(topologies submitted, busy nodes failed before the round)``."""
+    def rounds(kill_and_idle=False):
+        """``(topologies submitted, topologies killed, busy nodes failed
+        before the round)``.  With ``kill_and_idle``, two rounds run
+        before the last: one kills "star", one changes nothing."""
+        idle = [([], ["star"], 4), ([], [], 0)] if kill_and_idle else []
         return [
             (
                 [
@@ -344,13 +353,23 @@ class TestLargeClusterRoundsDifferential:
                         "compute", branches=3, parallelism=6, name="diamond"
                     ),
                 ],
+                [],
                 0,
             ),
-            ([pageload_topology("pageload")], 6),
-            ([processing_topology("processing")], 6),
+            ([pageload_topology("pageload")], [], 6),
+            *idle,
+            ([processing_topology("processing")], [], 6),
         ]
 
-    @pytest.mark.parametrize(
+    @staticmethod
+    def kill(cluster, topology_id):
+        prefix = f"{topology_id}:"
+        for node in cluster.nodes:
+            for label in list(node.reservations):
+                if label.startswith(prefix):
+                    node.release(label)
+
+    CONFIGS = pytest.mark.parametrize(
         "config",
         [
             dict(prefer_no_overcommit=prefer, best_effort=best_effort)
@@ -360,14 +379,29 @@ class TestLargeClusterRoundsDifferential:
         + [dict(normalise_gaps=False, use_network_distance=False)],
         ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()),
     )
+
+    @CONFIGS
     def test_rounds_identical(self, config):
+        self.check_rounds(config, self.rounds())
+
+    @CONFIGS
+    def test_kill_and_idle_rounds_identical(self, config):
+        self.check_rounds(config, self.rounds(kill_and_idle=True))
+
+    def check_rounds(self, config, rounds):
         opt, ref = RStormScheduler(**config), ReferenceRStormScheduler(**config)
         opt_cluster, ref_cluster = self.cluster(), self.cluster()
         opt_out, ref_out = {}, {}
         topologies = []
-        rounds = self.rounds()
-        for index, (new, failures) in enumerate(rounds):
+        for index, (new, killed, failures) in enumerate(rounds):
             topologies += new
+            for topology_id in killed:
+                topologies = [
+                    t for t in topologies if t.topology_id != topology_id
+                ]
+                del opt_out[topology_id], ref_out[topology_id]
+                self.kill(opt_cluster, topology_id)
+                self.kill(ref_cluster, topology_id)
             busy = sorted(
                 {a.node_of(t) for a in opt_out.values() for t in a.tasks}
             )
@@ -376,6 +410,8 @@ class TestLargeClusterRoundsDifferential:
             ):
                 opt_cluster.fail_node(node_id)
                 ref_cluster.fail_node(node_id)
+            before = opt_out
+            available = [node.available for node in opt_cluster.nodes]
             try:
                 opt_out = opt.schedule(topologies, opt_cluster, opt_out)
             except SchedulingError:
@@ -386,6 +422,14 @@ class TestLargeClusterRoundsDifferential:
                 return
             ref_out = ref.schedule(topologies, ref_cluster, ref_out)
             assert as_map(opt_out) == as_map(ref_out)
+            if not new and not failures:
+                for topology in topologies:
+                    tid = topology.topology_id
+                    if before[tid].is_complete(topology):
+                        assert opt_out[tid] is before[tid]
+                    else:  # best effort left tasks out; none fit now
+                        assert opt_out[tid] == before[tid]
+                assert [n.available for n in opt_cluster.nodes] == available
 
 
 class TestBaselineSchedulersDifferential:

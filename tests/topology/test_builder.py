@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TopologyValidationError
+from repro.scheduler.ordering import TaskOrderingStrategy, ordered_tasks
 from repro.topology.builder import TopologyBuilder
 from repro.topology.grouping import (
     AllGrouping,
@@ -88,3 +89,30 @@ class TestGroupingHelpers:
         declarer = builder.set_spout("s", 4)
         assert declarer.component.name == "s"
         assert declarer.component.parallelism == 4
+
+
+class TestBuildSnapshot:
+    def test_builder_changes_after_build_do_not_reach_the_topology(self):
+        builder = TopologyBuilder("t")
+        spout = builder.set_spout("s", 2)
+        spout.set_memory_load(256.0).set_cpu_load(20.0)
+        bolt = builder.set_bolt("b", 3)
+        bolt.shuffle_grouping("s").set_memory_load(128.0).set_cpu_load(10.0)
+        topology = builder.build()
+        task = topology.tasks_of("b")[0]
+        demand = topology.task_demand(task)
+        total = topology.total_demand()
+        order = ordered_tasks(topology, TaskOrderingStrategy.BFS)
+
+        bolt.set_memory_load(4096.0).set_cpu_load(400.0)
+        spout.set_cpu_load(90.0)
+        builder.set_bolt("late", 2).shuffle_grouping("b")
+        bolt.component.parallelism = 7
+
+        assert topology.task_demand(task) == demand
+        assert topology.total_demand() == total
+        assert ordered_tasks(topology, TaskOrderingStrategy.BFS) == order
+        assert topology.component("b").parallelism == 3
+        assert "late" not in topology.components
+        rebuilt = builder.build()
+        assert rebuilt.task_demand(rebuilt.tasks_of("b")[0]).cpu == 400.0
